@@ -205,3 +205,19 @@ def reduced_generators(params: StarParams) -> tuple[FieldCtx, np.ndarray, Smooth
         if want is not None and m != want:
             bad.append((i, j))
     return ctx, gens, SmoothnessReport(orders, expected, tuple(bad))
+
+
+def generator_word(ctx: FieldCtx, gens: np.ndarray, idx) -> np.ndarray:
+    """The product gens[i0] gens[i1] ... over F_q."""
+    m = gens[idx[0]]
+    for j in idx[1:]:
+        m = mat_mul(ctx, m, gens[j])
+    return m
+
+
+def torus_words(ctx: FieldCtx, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The k=6 torus words x = r1r3r1r3r1r2 and y = r3r1r3r2r1r2."""
+    return (
+        generator_word(ctx, gens, (1, 3, 1, 3, 1, 2)),
+        generator_word(ctx, gens, (3, 1, 3, 2, 1, 2)),
+    )

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import K_INF, StarParams, reduced_generators
+from .builder import StarParams, generator_word, reduced_generators, torus_words
 from .field import FieldCtx
 from .matgroup import (
     DEFAULT_CAP,
@@ -17,7 +17,6 @@ from .matgroup import (
     bsgs_group,
     element_order,
     enumerate_group,
-    identity,
     is_identity,
     mat_inv,
     mat_mul,
@@ -81,14 +80,14 @@ def _generator_gate(ctx: FieldCtx, gens: np.ndarray):
 
 def _set_equal(a: GroupHandle, b: GroupHandle):
     """Equality of two enumerated groups, with an offending element if not."""
-    mask = b.contains_batch(a.elements)
+    ea = a.elements
+    mask = b.contains_batch(ea)
     if not mask.all():
-        i = int(np.flatnonzero(~mask)[0])
-        return False, a.elements[i]
+        return False, ea[int(np.flatnonzero(~mask)[0])]
     if a.order == b.order:
         return True, None
-    i = int(np.flatnonzero(~a.contains_batch(b.elements))[0])
-    return False, b.elements[i]
+    eb = b.elements
+    return False, eb[int(np.flatnonzero(~a.contains_batch(eb))[0])]
 
 
 _RANK3_PAIRS = (("G02", "G03"), ("G02", "G23"), ("G03", "G23"))
@@ -113,20 +112,6 @@ def _rank3_checks(ctx, gens, dihedrals):
         if not ok and witness is None:
             witness, note = bad, f"{na} meets {nb} away from <r1>"
     return tuple(checks), witness, note
-
-
-def verify_rank3_cgroups(params: StarParams, generators: np.ndarray | None = None):
-    """The three dihedral intersection checks; True means the pair meets in <r1>.
-
-    generators replaces the reduced generator stack (negative controls)."""
-    ctx, gens, _ = reduced_generators(params)
-    if generators is not None:
-        gens = np.asarray(generators, dtype=np.int64)
-    bad, _ = _generator_gate(ctx, gens)
-    if bad is not None:
-        return (False, False, False)
-    checks, _, _ = _rank3_checks(ctx, gens, _dihedral_handles(ctx, gens, DEFAULT_CAP))
-    return checks
 
 
 def verify_cgroup(
@@ -156,10 +141,7 @@ def verify_cgroup(
 
     rank4 = []
     for na, nb, nexp in _RANK4_TRIPLES:
-        a, b = handles[na], handles[nb]
-        if a.backend != "enumerated" or (b.backend == "enumerated" and b.order < a.order):
-            a, b = b, a
-        ok, bad = _set_equal(a.intersect(b), handles[nexp])
+        ok, bad = _set_equal(handles[na].intersect(handles[nb]), handles[nexp])
         rank4.append(ok)
         if not ok and witness is None:
             witness, note = bad, f"{na} meets {nb} away from {nexp}"
@@ -183,25 +165,12 @@ def replacement_generator(params: StarParams, i: int = 0):
     if (k == 5 and p.klass is PrimeClass.CLASS_I) or (k == 6 and p.char == 3):
         raise ValueError("replacement identity needs an orthogonal-type reduction")
     ctx, g, _ = reduced_generators(params)
-
-    def word(*idx):
-        m = g[idx[0]]
-        for j in idx[1:]:
-            m = mat_mul(ctx, m, g[j])
-        return m
-
     if k == 4:
-        b, target = word(2, 1), g[3]
+        b, target = generator_word(ctx, g, (2, 1)), g[3]
     elif k == 5:
-        w = word(3, 1, 2)
-        b = identity(ctx)
-        for _ in range(5):
-            b = mat_mul(ctx, b, w)
-        target = g[0]
+        b, target = generator_word(ctx, g, (3, 1, 2) * 5), g[0]
     else:
-        x = word(1, 3, 1, 3, 1, 2)
-        y = word(3, 1, 3, 2, 1, 2)
-        b = y
+        x, b = torus_words(ctx, g)
         for _ in range(i):
             b = mat_mul(ctx, x, b)
         target = g[3]

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .builder import K_INF, StarParams, gram, reduced_generators, rho
+from .builder import K_INF, StarParams, gram, reduced_generators, rho, torus_words
 from .matgroup import element_order, identity, mat_inv, mat_mul
 from .ring import GoldenInt, GoldenPrime, PrimeClass, golden_legendre, rational_legendre
 
@@ -243,8 +243,7 @@ def torus_power_check(p: GoldenPrime) -> TorusCheck:
     if p.klass is PrimeClass.EVEN or p.char == 3:
         raise ValueError("torus check needs an odd prime not associate to 3")
     ctx, g, _ = reduced_generators(StarParams(6, p))
-    x = mat_mul(ctx, mat_mul(ctx, mat_mul(ctx, g[1], g[3]), mat_mul(ctx, g[1], g[3])), mat_mul(ctx, g[1], g[2]))
-    y = mat_mul(ctx, mat_mul(ctx, mat_mul(ctx, g[3], g[1]), mat_mul(ctx, g[3], g[2])), mat_mul(ctx, g[1], g[2]))
+    x, y = torus_words(ctx, g)
     w = mat_mul(ctx, mat_inv(ctx, x), y)
     s = ctx.char
     order_x = element_order(ctx, x, cap=max(10_000, s + 1))

@@ -29,6 +29,7 @@ EXIT_PARSE = 2
 EXIT_INPUT = 3
 EXIT_OVERCAP = 4
 
+MIN_SURVEY_NORM = 4
 MAX_SURVEY_NORM = 200
 BSGS_MAX_Q = 64
 
@@ -38,6 +39,10 @@ _RANK4_NAMES = ("G0&G2=G02", "G0&G3=G03", "G2&G3=G23")
 
 class UsageError(Exception):
     """Bad flag combination or value; maps to exit code 2."""
+
+
+class InputError(Exception):
+    """A prime argument that is not a prime; maps to exit code 3."""
 
 
 def _parse_k(text: str, extra: tuple[str, ...] = ()):
@@ -50,10 +55,26 @@ def _parse_k(text: str, extra: tuple[str, ...] = ()):
 
 
 def _cap(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("STARCOX_CAP")
-    return int(env) if env else DEFAULT_CAP
+    """--cap, else STARCOX_CAP, else the default; a positive integer."""
+    cap = args.cap
+    if cap is None:
+        env = os.environ.get("STARCOX_CAP")
+        if not env:
+            return DEFAULT_CAP
+        try:
+            cap = int(env)
+        except ValueError:
+            raise UsageError(f"STARCOX_CAP must be an integer; got {env!r}") from None
+    if cap < 1:
+        raise UsageError(f"the cap must be positive; got {cap}")
+    return cap
+
+
+def _prime(text: str):
+    z = parse_golden(text)
+    if not z:
+        raise InputError("0 is neither a unit nor a prime")
+    return classify_prime(z)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,7 +129,7 @@ def _classification_json(k, prime_text: str, p, c) -> dict:
 
 def cmd_classify(args) -> int:
     k = _parse_k(args.k)
-    p = classify_prime(parse_golden(args.prime))
+    p = _prime(args.prime)
     c = classify_rank4(StarParams(k, p, args.scale))
     if args.format == "json":
         print(json.dumps(_classification_json(k, args.prime, p, c)))
@@ -121,7 +142,7 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     k = _parse_k(args.k, extra=("inf",))
-    p = classify_prime(parse_golden(args.prime))
+    p = _prime(args.prime)
     try:
         params = StarParams(k, p)
     except ValueError as e:
@@ -155,8 +176,8 @@ def cmd_verify(args) -> int:
 
 def cmd_polytope(args) -> int:
     k = _parse_k(args.k)
-    p = classify_prime(parse_golden(args.prime))
-    stats = face_counts(StarParams(k, p), args.ring)
+    p = _prime(args.prime)
+    stats = face_counts(StarParams(k, p), args.ring, cap=_cap(args))
     if args.format == "json":
         print(json.dumps(stats.to_json()))
     else:
@@ -204,8 +225,8 @@ def cmd_survey(args) -> int:
     if k == K_INF:
         raise UsageError("survey covers finite k only")
     ks = [3, 4, 5, 6] if k == "all" else [k]
-    if args.max_norm > MAX_SURVEY_NORM:
-        raise UsageError(f"--max-norm is bounded by {MAX_SURVEY_NORM}")
+    if not MIN_SURVEY_NORM <= args.max_norm <= MAX_SURVEY_NORM:
+        raise UsageError(f"--max-norm must lie in {MIN_SURVEY_NORM}..{MAX_SURVEY_NORM}")
     cap = _cap(args)
     fails = {"cgroupFailures": 0, "orderMismatches": 0, "pathDisagreements": 0}
     lines = []
@@ -250,7 +271,7 @@ def main(argv=None) -> int:
     except (UsageError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (UnitError, CompositeError) as e:
+    except (UnitError, CompositeError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except OverCapError as e:

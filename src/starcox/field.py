@@ -98,47 +98,6 @@ class FieldCtx:
         return self.pow_(u, (self.q - 1) // 2) == self.one
 
 
-@dataclass(frozen=True)
-class FieldElem:
-    """A field element bound to its context; thin wrapper over packed codes."""
-
-    ctx: FieldCtx
-    code: int
-
-    @property
-    def x(self) -> int:
-        return self.ctx.decode(self.code)[0]
-
-    @property
-    def y(self) -> int:
-        return self.ctx.decode(self.code)[1]
-
-    def __add__(self, other: FieldElem) -> FieldElem:
-        return FieldElem(self.ctx, self.ctx.add(self.code, other.code))
-
-    def __sub__(self, other: FieldElem) -> FieldElem:
-        return FieldElem(self.ctx, self.ctx.sub(self.code, other.code))
-
-    def __neg__(self) -> FieldElem:
-        return FieldElem(self.ctx, self.ctx.neg(self.code))
-
-    def __mul__(self, other: FieldElem) -> FieldElem:
-        return FieldElem(self.ctx, self.ctx.mul(self.code, other.code))
-
-    def __truediv__(self, other: FieldElem) -> FieldElem:
-        return FieldElem(self.ctx, self.ctx.mul(self.code, self.ctx.inv(other.code)))
-
-    def __pow__(self, e: int) -> FieldElem:
-        return FieldElem(self.ctx, self.ctx.pow_(self.code, e))
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __str__(self) -> str:
-        x, y = self.ctx.decode(self.code)
-        return str(x) if self.ctx.degree == 1 or y == 0 else f"{x}+{y}th"
-
-
 def build_field(p: GoldenPrime) -> FieldCtx:
     """Construct Z[tau]/(p) for any prime class."""
     if p.klass is PrimeClass.EVEN:

@@ -2,7 +2,10 @@
 enumeration, deterministic Schreier-Sims, membership, and intersection.
 
 Matrices are numpy arrays of packed field codes (see field.FieldCtx). Batch
-kernels stay in int64; hash keys are void-dtype views of compact copies.
+kernels stay in int64. An enumerated group is stored once, as the sorted
+array of its keys: a key is a void-dtype view of a compact copy of the whole
+matrix, so the keys serve BFS deduplication, membership, intersection and
+element positions alike, and ``elements`` decodes them on access.
 """
 
 from __future__ import annotations
@@ -89,26 +92,6 @@ def mat_inv(ctx: FieldCtx, m: np.ndarray) -> np.ndarray:
     return np.array(b, dtype=np.int64)
 
 
-def mat_det(ctx: FieldCtx, m: np.ndarray) -> int:
-    """Determinant of a single 4x4 matrix by elimination."""
-    a = [[int(x) for x in row] for row in m]
-    det = ctx.one
-    for col in range(4):
-        piv = next((r for r in range(col, 4) if a[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = ctx.neg(det)
-        det = ctx.mul(det, a[col][col])
-        inv = ctx.inv(a[col][col])
-        for r in range(col + 1, 4):
-            if a[r][col] != 0:
-                f = ctx.mul(inv, a[r][col])
-                a[r] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(a[r], a[col])]
-    return det
-
-
 def element_order(ctx: FieldCtx, m: np.ndarray, cap: int = 10_000) -> int:
     """Smallest n >= 1 with m^n = I."""
     ident = identity(ctx)
@@ -129,14 +112,24 @@ def _compact_dtype(ctx: FieldCtx) -> np.dtype:
 
 
 def _keys(ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:
-    """Void-dtype hash keys of a stack of matrices."""
+    """Void-dtype keys of a stack of matrices; a key holds its whole matrix."""
     compact = np.ascontiguousarray(mats.reshape(-1, 16).astype(_compact_dtype(ctx)))
     return compact.view(f"V{compact.dtype.itemsize * 16}").ravel()
 
 
+def _decode(ctx: FieldCtx, keys: np.ndarray) -> np.ndarray:
+    """The int64 matrices held by keys, in key order."""
+    return keys.view(_compact_dtype(ctx)).reshape(-1, 4, 4).astype(np.int64)
+
+
+def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Positions of keys in sorted_keys, -1 where a key is absent."""
+    pos = np.searchsorted(sorted_keys, keys).clip(max=len(sorted_keys) - 1)
+    return np.where(sorted_keys[pos] == keys, pos, -1)
+
+
 def _dedup(ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:
-    _, idx = np.unique(_keys(ctx, mats), return_index=True)
-    return mats[idx]
+    return _decode(ctx, np.unique(_keys(ctx, mats)))
 
 
 def _pairwise(ctx: FieldCtx, f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -144,28 +137,35 @@ def _pairwise(ctx: FieldCtx, f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 class GroupHandle:
-    """A finite matrix group backed by full enumeration or a BSGS chain."""
+    """A finite matrix group: enumerated when it holds sorted keys, else a BSGS chain."""
 
-    def __init__(self, ctx: FieldCtx, gens: np.ndarray, backend: str):
+    def __init__(self, ctx: FieldCtx, gens: np.ndarray):
         self.ctx = ctx
         self.gens = gens
-        self.backend = backend
         self.order: int = 0
-        self._elements: np.ndarray | None = None
         self._sorted_keys: np.ndarray | None = None
         self._chain: list[_Level] | None = None
 
+    def _enumerated_keys(self) -> np.ndarray:
+        if self._sorted_keys is None:
+            raise ValueError("group is not enumerated")
+        return self._sorted_keys
+
     @property
     def elements(self) -> np.ndarray:
-        if self._elements is None:
-            raise ValueError("group is not enumerated")
-        return self._elements
+        """Every element as an int64 matrix, in key order; decoded on each access."""
+        return _decode(self.ctx, self._enumerated_keys())
+
+    def index(self, mats: np.ndarray) -> np.ndarray:
+        """Positions of the given matrices in ``elements``; ValueError on a non-member."""
+        pos = _find(self._enumerated_keys(), _keys(self.ctx, mats))
+        if (pos < 0).any():
+            raise ValueError("matrix is not a group element")
+        return pos
 
     def contains(self, m: np.ndarray) -> bool:
         if self._sorted_keys is not None:
-            k = _keys(self.ctx, m[None])
-            i = np.searchsorted(self._sorted_keys, k[0])
-            return bool(i < len(self._sorted_keys) and self._sorted_keys[i] == k[0])
+            return bool(_find(self._sorted_keys, _keys(self.ctx, m))[0] >= 0)
         assert self._chain is not None
         res, _ = _strip(self.ctx, self._chain, 0, m)
         return is_identity(self.ctx, res)
@@ -175,7 +175,7 @@ class GroupHandle:
     def contains_batch(self, mats: np.ndarray) -> np.ndarray:
         """Vectorized membership for a stack of matrices."""
         if self._sorted_keys is not None:
-            return np.isin(_keys(self.ctx, mats), self._sorted_keys)
+            return _find(self._sorted_keys, _keys(self.ctx, mats)) >= 0
         assert self._chain is not None
         ctx = self.ctx
         mask = np.ones(len(mats), dtype=bool)
@@ -195,9 +195,13 @@ class GroupHandle:
         return mask
 
     def intersect(self, other: GroupHandle) -> GroupHandle:
-        """Intersection; self must be enumerated (use the smaller group)."""
-        elems = self.elements
-        return _from_elements(self.ctx, elems[other.contains_batch(elems)])
+        """Intersection, listed from the smaller enumerated side."""
+        small, big = self, other
+        if small._sorted_keys is None or (big._sorted_keys is not None and big.order < small.order):
+            small, big = big, small
+        elems = small.elements
+        inside = big.contains_batch(elems)
+        return _from_keys(self.ctx, elems[inside], small._sorted_keys[inside])
 
     def same_group(self, other: GroupHandle) -> bool:
         return (
@@ -207,41 +211,30 @@ class GroupHandle:
         )
 
 
-def _from_elements(ctx: FieldCtx, elems: np.ndarray) -> GroupHandle:
-    h = GroupHandle(ctx, elems, "enumerated")
-    h._elements = elems
-    h._sorted_keys = np.sort(_keys(ctx, elems))
-    h.order = len(elems)
+def _from_keys(ctx: FieldCtx, gens: np.ndarray, sorted_keys: np.ndarray) -> GroupHandle:
+    h = GroupHandle(ctx, gens)
+    h._sorted_keys = sorted_keys
+    h.order = len(sorted_keys)
     return h
 
 
 def enumerate_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
     """Breadth-first closure of the generators under multiplication."""
     gens = _dedup(ctx, np.asarray(gens, dtype=np.int64).reshape(-1, 4, 4))
-    ident = identity(ctx)
-    elems = ident[None].astype(_compact_dtype(ctx))
-    sorted_keys = _keys(ctx, ident[None])
-    frontier = ident[None]
+    frontier = identity(ctx)[None]
+    sorted_keys = _keys(ctx, frontier)
+    step = max(1, _CHUNK // max(1, len(gens)))
     while len(frontier):
-        step = max(1, _CHUNK // max(1, len(gens)))
-        parts = [
-            _pairwise(ctx, frontier[i : i + step], gens) for i in range(0, len(frontier), step)
-        ]
-        cand = _dedup(ctx, np.concatenate(parts))
-        ck = _keys(ctx, cand)
-        pos = np.searchsorted(sorted_keys, ck).clip(max=len(sorted_keys) - 1)
-        fresh = sorted_keys[pos] != ck
-        if len(elems) + int(fresh.sum()) > cap:
+        cand = np.unique(np.concatenate([
+            _keys(ctx, _pairwise(ctx, frontier[i : i + step], gens))
+            for i in range(0, len(frontier), step)
+        ]))
+        fresh = cand[_find(sorted_keys, cand) < 0]
+        if len(sorted_keys) + len(fresh) > cap:
             raise OverCapError(f"closure exceeds cap {cap}")
-        frontier = cand[fresh]
-        if len(frontier):
-            elems = np.concatenate([elems, frontier.astype(_compact_dtype(ctx))])
-            sorted_keys = np.sort(np.concatenate([sorted_keys, ck[fresh]]))
-    h = GroupHandle(ctx, gens, "enumerated")
-    h._elements = elems.astype(np.int64)
-    h._sorted_keys = sorted_keys
-    h.order = len(elems)
-    return h
+        sorted_keys = np.insert(sorted_keys, np.searchsorted(sorted_keys, fresh), fresh)
+        frontier = _decode(ctx, fresh)
+    return _from_keys(ctx, gens, sorted_keys)
 
 
 class _Level:
@@ -362,7 +355,7 @@ def bsgs_group(ctx: FieldCtx, gens) -> GroupHandle:
             chain[l].gen_invs.append(ginv)
             chain[l].stale = True
 
-    h = GroupHandle(ctx, np.stack(gens) if gens else identity(ctx)[None], "bsgs")
+    h = GroupHandle(ctx, np.stack(gens) if gens else identity(ctx)[None])
     if not chain:
         h._chain = []
         h.order = 1

@@ -14,8 +14,7 @@ import numpy as np
 
 from .builder import StarParams, reduced_generators
 from .classify import classify_rank4
-from .field import FieldCtx
-from .matgroup import DEFAULT_CAP, _compact_dtype, enumerate_group, mat_mul
+from .matgroup import DEFAULT_CAP, GroupHandle, enumerate_group, mat_mul
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,12 @@ def _index(full_order: int, sub_order: int, what: str) -> int:
     return full_order // sub_order
 
 
-def face_counts(params: StarParams, ringed_node: int) -> PolytopeStats:
+def face_counts(params: StarParams, ringed_node: int, cap: int = DEFAULT_CAP) -> PolytopeStats:
     """Coset counts of the five face families for ringed node 0 or 2.
 
     The full-group order comes from the classification; subgroup orders
-    come from enumeration, so every count is an exact subgroup index.
+    come from enumeration, capped at cap elements, so every count is an
+    exact subgroup index.
     """
     if ringed_node not in (0, 2):
         raise ValueError("supported ringed nodes are 0 and 2")
@@ -86,11 +86,12 @@ def face_counts(params: StarParams, ringed_node: int) -> PolytopeStats:
     m = smooth_rep.product_orders
 
     def sub(idx):
-        return enumerate_group(ctx, gens[list(idx)]).order
+        return enumerate_group(ctx, gens[list(idx)], cap=cap).order
 
     edges = _index(n, sub((0, 2, 3)), "edge stabilizer")
-    cells_p = _index(n, sub((0, 1, 2)), "P-cell stabilizer")
-    sig_p = (sub((0, 1, 2)), (m[(0, 1)], m[(1, 2)]))
+    p_order = sub((0, 1, 2))
+    cells_p = _index(n, p_order, "P-cell stabilizer")
+    sig_p = (p_order, (m[(0, 1)], m[(1, 2)]))
     if ringed_node == 2:
         vertices = _index(n, sub((0, 1, 3)), "vertex stabilizer")
         subfacets = _index(n, sub((1, 2)), "subfacet stabilizer")
@@ -108,11 +109,6 @@ def face_counts(params: StarParams, ringed_node: int) -> PolytopeStats:
     )
 
 
-def orbit_class(params: StarParams, ringed_node: int) -> str:
-    """Regular when both cell families carry the same signature, else TwoOrbit."""
-    return face_counts(params, ringed_node).orbit_class
-
-
 @dataclass(frozen=True)
 class IncidenceReport:
     """Edge- and vertex-level incidence structure of one ringing."""
@@ -122,16 +118,14 @@ class IncidenceReport:
     crossfoot_ok: bool
 
 
-def _coset_labels(ctx: FieldCtx, elements: np.ndarray, key_index, sub: np.ndarray) -> np.ndarray:
-    dt = _compact_dtype(ctx)
+def _coset_labels(group: GroupHandle, elements: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """Label each of the group's elements by its right coset of sub."""
     labels = np.full(len(elements), -1, dtype=np.int64)
     nxt = 0
     for i in range(len(elements)):
         if labels[i] >= 0:
             continue
-        coset = mat_mul(ctx, sub, elements[i][None]).astype(dt).reshape(len(sub), 16)
-        for row in coset:
-            labels[key_index[row.tobytes()]] = nxt
+        labels[group.index(mat_mul(group.ctx, sub, elements[i]))] = nxt
         nxt += 1
     return labels
 
@@ -157,13 +151,10 @@ def incidence_report(
     ctx, gens, _ = reduced_generators(params)
     group = enumerate_group(ctx, gens, cap=cap)
     elements = group.elements
-    dt = _compact_dtype(ctx)
-    comp = elements.astype(dt).reshape(len(elements), 16)
-    key_index = {comp[i].tobytes(): i for i in range(len(elements))}
 
     def labels(idx):
         sub = enumerate_group(ctx, gens[list(idx)], cap=cap).elements
-        return _coset_labels(ctx, elements, key_index, sub)
+        return _coset_labels(group, elements, sub)
 
     edge = labels((0, 2, 3))
     cell_p = labels((0, 1, 2))
@@ -186,8 +177,3 @@ def incidence_report(
         incidences = sum(len(s) for s in _distinct_counts(edge, cells).values())
         crossfoot_ok &= len(set(per_cell)) == 1 and per_cell[0] * len(per_cell) == incidences
     return IncidenceReport(edges_ok, tuple(sorted(profile)), crossfoot_ok)
-
-
-def edge_alternation_check(params: StarParams, ringed_node: int, cap: int = DEFAULT_CAP) -> bool:
-    """Does every edge meet exactly two cells of each family?"""
-    return incidence_report(params, ringed_node, cap=cap).edges_ok

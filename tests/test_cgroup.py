@@ -11,7 +11,6 @@ from starcox.cgroup import (
     lemma41_check,
     replacement_generator,
     verify_cgroup,
-    verify_rank3_cgroups,
 )
 from starcox.field import build_field
 from starcox.matgroup import element_order, mat_mul, mat_vec
@@ -70,7 +69,7 @@ def test_intersections_hold(k, p):
     rep = verify_cgroup(params(k, p))
     assert rep.is_cgroup
     assert rep.witness is None
-    assert verify_rank3_cgroups(params(k, p)) == (True, True, True)
+    assert rep.rank3_checks == (True, True, True)
 
 
 @pytest.mark.parametrize("p,m13", [(SQRT5, 5), (P3, 3)])
@@ -89,7 +88,6 @@ def test_negative_control_repeated_generator():
     assert rep.rank4_checks == (False, False, False)
     assert "coincide" in rep.witness_note
     assert rep.witness is not None
-    assert verify_rank3_cgroups(params(3, P11), generators=corrupted) == (False, False, False)
 
 
 def test_negative_control_non_involution():

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import starcox
 from starcox import cli
 from starcox.cgroup import IntersectionReport
 from starcox.cli import main
@@ -100,6 +105,35 @@ def test_overcap_exits_4(capsys):
 def test_env_cap_is_honored(capsys, monkeypatch):
     monkeypatch.setenv("STARCOX_CAP", "50")
     assert run(capsys, "verify", "--k", "3", "--prime", "3+1t")[0] == 4
+
+
+SRC = str(Path(starcox.__file__).resolve().parent.parent)
+
+
+@pytest.mark.parametrize(
+    "argv,env,code",
+    [
+        (("verify", "--k", "3", "--prime", "2"), {"STARCOX_CAP": "abc"}, 2),
+        (("verify", "--k", "3", "--prime", "2", "--cap", "0"), {}, 2),
+        (("verify", "--k", "3", "--prime", "2", "--cap", "-5"), {}, 2),
+        (("survey", "--max-norm", "3"), {}, 2),
+        (("verify", "--k", "3", "--prime", "0"), {}, 3),
+        (("polytope", "--k", "3", "--prime", "2", "--ring", "2", "--cap", "1"), {}, 4),
+    ],
+    ids=["env-cap-abc", "cap-0", "cap-negative", "survey-norm-3", "prime-0", "polytope-cap-1"],
+)
+def test_bad_bounds_exit_without_traceback(argv, env, code):
+    base = {k: v for k, v in os.environ.items() if k != "STARCOX_CAP"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "starcox.cli", *argv],
+        env={**base, "PYTHONPATH": SRC, **env},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == code
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_argument_exits_2(capsys):

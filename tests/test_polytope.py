@@ -10,10 +10,8 @@ from starcox.classify import classify_rank4
 from starcox.matgroup import OverCapError
 from starcox.polytope import (
     PolytopeStats,
-    edge_alternation_check,
     face_counts,
     incidence_report,
-    orbit_class,
 )
 from starcox.ring import GoldenInt, classify_prime
 
@@ -66,9 +64,9 @@ def test_both_ringings_share_edges():
 
 
 def test_orbit_classes():
-    assert orbit_class(params(3, P2), 2) == "TwoOrbit"
-    assert orbit_class(params(3, SQRT5), 0) == "Regular"
-    assert orbit_class(params(4, SQRT5), 0) == "TwoOrbit"
+    assert face_counts(params(3, P2), 2).orbit_class == "TwoOrbit"
+    assert face_counts(params(3, SQRT5), 0).orbit_class == "Regular"
+    assert face_counts(params(4, SQRT5), 0).orbit_class == "TwoOrbit"
 
 
 def test_ring_validation():
@@ -83,7 +81,6 @@ def test_even_prime_incidence():
     assert rep.edges_ok
     assert rep.crossfoot_ok
     assert rep.vertex_profile == ((6, 10),)
-    assert edge_alternation_check(params(3, P2), 2)
 
 
 def test_ramified_prime_incidence():
@@ -96,6 +93,8 @@ def test_ramified_prime_incidence():
 def test_incidence_respects_cap():
     with pytest.raises(OverCapError):
         incidence_report(params(3, P11), ringed_node=0, cap=1000)
+    with pytest.raises(OverCapError):
+        face_counts(params(3, P2), ringed_node=2, cap=10)
 
 
 def test_stats_serialization():
