@@ -11,7 +11,7 @@ import numpy as np
 
 from .field import FieldCtx, build_field
 from .matgroup import element_order, mat_mul
-from .ring import ONE, TAU, GoldenInt, GoldenPrime, PrimeClass, exact_div
+from .ring import ONE, TAU, GoldenInt, GoldenPrime, PrimeClass
 
 K_INF = math.inf
 _TAU2 = TAU * TAU

@@ -7,6 +7,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .builder import K_INF, StarParams, reduced_generators
 from .cgroup import verify_cgroup
@@ -188,8 +189,10 @@ def cmd_polytope(args) -> int:
 def _survey_row(k: int, p, cap: int, fails: dict) -> dict:
     params = StarParams(k, p)
     c = classify_rank4(params)
-    if p.klass is not PrimeClass.EVEN and table3_lookup(params) != c:
-        fails["pathDisagreements"] += 1
+    if p.klass is not PrimeClass.EVEN:
+        t = table3_lookup(params)
+        if (t.family, t.label, t.predicted_order) != (c.family, c.label, c.predicted_order):
+            fails["pathDisagreements"] += 1
     ctx, gens, _ = reduced_generators(params)
     verified: int | str
     if c.predicted_order <= cap:
@@ -229,17 +232,19 @@ def cmd_survey(args) -> int:
         raise UsageError(f"--max-norm must lie in {MIN_SURVEY_NORM}..{MAX_SURVEY_NORM}")
     cap = _cap(args)
     fails = {"cgroupFailures": 0, "orderMismatches": 0, "pathDisagreements": 0}
-    lines = []
-    for kk in ks:
-        for p in primes_up_to_norm(args.max_norm):
-            lines.append(json.dumps(_survey_row(kk, p, cap, fails)))
-    lines.append(json.dumps({"summary": {"rows": len(lines), **fails}}))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        # each row is written and flushed as soon as it is made, so an
+        # interrupted survey keeps every finished row
+        def emit(row: dict) -> None:
+            fh.write(json.dumps(row) + "\n")
+            fh.flush()
+
+        rows = 0
+        for kk in ks:
+            for p in primes_up_to_norm(args.max_norm):
+                emit(_survey_row(kk, p, cap, fails))
+                rows += 1
+        emit({"summary": {"rows": rows, **fails}})
     return EXIT_OK if not any(fails.values()) else EXIT_VERIFY
 
 

@@ -2,10 +2,15 @@
 enumeration, deterministic Schreier-Sims, membership, and intersection.
 
 Matrices are numpy arrays of packed field codes (see field.FieldCtx). Batch
-kernels stay in int64. An enumerated group is stored once, as the sorted
-array of its keys: a key is a void-dtype view of a compact copy of the whole
-matrix, so the keys serve BFS deduplication, membership, intersection and
-element positions alike, and ``elements`` decodes them on access.
+kernels stay in int64. One key scheme serves everything: a key is a
+void-dtype view of a compact copy of a whole matrix or vector, and a set is
+a sorted key array searched by ``_find``. An enumerated group is stored
+once, as the sorted keys of its elements, so the keys serve BFS
+deduplication, membership, intersection and element positions alike, and
+``elements`` decodes them on access. A Schreier-Sims level stores its orbit
+as the sorted keys of the orbit vectors, with the transversal as stacked
+arrays in the same order; one batched sift serves membership and the
+Schreier generators alike.
 """
 
 from __future__ import annotations
@@ -111,10 +116,11 @@ def _compact_dtype(ctx: FieldCtx) -> np.dtype:
     return np.dtype(np.uint32)
 
 
-def _keys(ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:
-    """Void-dtype keys of a stack of matrices; a key holds its whole matrix."""
-    compact = np.ascontiguousarray(mats.reshape(-1, 16).astype(_compact_dtype(ctx)))
-    return compact.view(f"V{compact.dtype.itemsize * 16}").ravel()
+def _keys(ctx: FieldCtx, arrs: np.ndarray, width: int = 16) -> np.ndarray:
+    """Void-dtype keys of a stack of matrices (width 16) or vectors (width 4);
+    a key holds its whole matrix or vector."""
+    compact = np.ascontiguousarray(arrs.reshape(-1, width).astype(_compact_dtype(ctx)))
+    return compact.view(f"V{compact.dtype.itemsize * width}").ravel()
 
 
 def _decode(ctx: FieldCtx, keys: np.ndarray) -> np.ndarray:
@@ -164,35 +170,19 @@ class GroupHandle:
         return pos
 
     def contains(self, m: np.ndarray) -> bool:
-        if self._sorted_keys is not None:
-            return bool(_find(self._sorted_keys, _keys(self.ctx, m))[0] >= 0)
-        assert self._chain is not None
-        res, _ = _strip(self.ctx, self._chain, 0, m)
-        return is_identity(self.ctx, res)
+        return bool(self.contains_batch(m[None])[0])
 
     __contains__ = contains
 
     def contains_batch(self, mats: np.ndarray) -> np.ndarray:
-        """Vectorized membership for a stack of matrices."""
+        """Vectorized membership for a stack of matrices. On a chain a matrix
+        is a member when its residue is the identity: one whose image leaves
+        an orbit keeps a residue that moves that level's base point."""
         if self._sorted_keys is not None:
             return _find(self._sorted_keys, _keys(self.ctx, mats)) >= 0
         assert self._chain is not None
-        ctx = self.ctx
-        mask = np.ones(len(mats), dtype=bool)
-        live = np.arange(len(mats))
-        work = mats
-        for lvl in self._chain:
-            imgs = mat_vec(ctx, work, lvl.point)
-            idx = np.array([lvl.orbit.get(k, -1) for k in _vec_keys(ctx, imgs)])
-            bad = idx < 0
-            mask[live[bad]] = False
-            live, idx, work = live[~bad], idx[~bad], work[~bad]
-            if not len(live):
-                return mask
-            work = mat_mul(ctx, np.stack([lvl.t_inv[i] for i in idx]), work)
-        ident = identity(ctx)
-        mask[live] = (work == ident).all(axis=(1, 2))
-        return mask
+        res, _ = _sift(self.ctx, self._chain, 0, mats)
+        return (res == identity(self.ctx)).all(axis=(1, 2))
 
     def intersect(self, other: GroupHandle) -> GroupHandle:
         """Intersection, listed from the smaller enumerated side."""
@@ -238,93 +228,87 @@ def enumerate_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
 
 
 class _Level:
-    """One stabilizer level: base point, generators, orbit with transversal."""
+    """One stabilizer level: a base point, the generators that fix every earlier
+    base point, and the orbit of the point. The orbit is the sorted array of
+    the keys of its vectors; ``t`` and ``t_inv`` are stacked arrays in key
+    order, so ``t[i]`` maps the point to the vector of ``keys[i]``."""
 
-    __slots__ = ("point", "gens", "gen_invs", "orbit", "vecs", "t", "t_inv", "stale")
+    __slots__ = ("point", "gens", "gen_invs", "keys", "t", "t_inv", "stale")
 
     def __init__(self, point: np.ndarray):
         self.point = point
         self.gens: list[np.ndarray] = []
         self.gen_invs: list[np.ndarray] = []
-        self.orbit: dict[int, int] = {}
-        self.vecs: list[np.ndarray] = []
-        self.t: list[np.ndarray] = []
-        self.t_inv: list[np.ndarray] = []
-        self.stale = True
+        self.stale = True  # keys, t and t_inv are set by _build_orbit
 
 
-def _vec_key(ctx: FieldCtx, v: np.ndarray) -> int:
-    q = ctx.q
-    return int(((int(v[0]) * q + int(v[1])) * q + int(v[2])) * q + int(v[3]))
+def _moved_basis_vector(ctx: FieldCtx, m: np.ndarray) -> np.ndarray:
+    basis = identity(ctx)
+    moved = (mat_vec(ctx, m, basis) != basis).any(axis=1)
+    assert moved.any(), "the identity moves no basis vector"
+    return basis[int(np.argmax(moved))]
 
 
-def _vec_keys(ctx: FieldCtx, vs: np.ndarray) -> list[int]:
-    q = ctx.q
-    if q <= 55_108:  # q**4 fits in int64
-        v = vs.reshape(-1, 4)
-        return (((v[:, 0] * q + v[:, 1]) * q + v[:, 2]) * q + v[:, 3]).tolist()
-    return [_vec_key(ctx, v) for v in vs.reshape(-1, 4)]
-
-
-def _basis_vectors(ctx: FieldCtx) -> list[np.ndarray]:
-    return [np.array([ctx.one if j == i else 0 for j in range(4)], dtype=np.int64) for i in range(4)]
-
-
-def _moved_basis_vector(ctx: FieldCtx, m: np.ndarray) -> np.ndarray | None:
-    for e in _basis_vectors(ctx):
-        if not np.array_equal(mat_vec(ctx, m, e), e):
-            return e
-    return None
-
-
-def _recompute_orbit(ctx: FieldCtx, lvl: _Level) -> None:
-    ident = identity(ctx)
-    lvl.vecs = [lvl.point]
-    lvl.orbit = {_vec_key(ctx, lvl.point): 0}
-    lvl.t = [ident]
-    lvl.t_inv = [ident]
-    frontier = [0]
-    while frontier:
-        vs = np.stack([lvl.vecs[i] for i in frontier])
-        ts = np.stack([lvl.t[i] for i in frontier])
-        tinvs = np.stack([lvl.t_inv[i] for i in frontier])
-        frontier = []
-        for g, ginv in zip(lvl.gens, lvl.gen_invs):
-            imgs = mat_vec(ctx, g, vs)
-            tnew = mat_mul(ctx, g, ts)
-            tinvnew = mat_mul(ctx, tinvs, ginv)
-            for fi, k in enumerate(_vec_keys(ctx, imgs)):
-                if k not in lvl.orbit:
-                    lvl.orbit[k] = len(lvl.vecs)
-                    lvl.vecs.append(imgs[fi])
-                    lvl.t.append(tnew[fi])
-                    lvl.t_inv.append(tinvnew[fi])
-                    frontier.append(len(lvl.vecs) - 1)
+def _build_orbit(ctx: FieldCtx, lvl: _Level) -> None:
+    """Breadth-first orbit of the base point, one layer for all generators at once."""
+    gens, ginvs = np.stack(lvl.gens), np.stack(lvl.gen_invs)
+    vecs = lvl.point[None]
+    lvl.keys = _keys(ctx, vecs, 4)
+    lvl.t = lvl.t_inv = t = t_inv = identity(ctx)[None]
+    while len(vecs):
+        imgs = mat_vec(ctx, gens[:, None], vecs[None]).reshape(-1, 4)
+        cand, first = np.unique(_keys(ctx, imgs, 4), return_index=True)
+        fresh = _find(lvl.keys, cand) < 0
+        cand, first = cand[fresh], first[fresh]
+        g, f = np.divmod(first, len(vecs))
+        vecs = imgs[first]
+        t = mat_mul(ctx, gens[g], t[f])
+        t_inv = mat_mul(ctx, t_inv[f], ginvs[g])
+        pos = np.searchsorted(lvl.keys, cand)
+        lvl.keys = np.insert(lvl.keys, pos, cand)
+        lvl.t = np.insert(lvl.t, pos, t, axis=0)
+        lvl.t_inv = np.insert(lvl.t_inv, pos, t_inv, axis=0)
     lvl.stale = False
 
 
-def _strip(ctx: FieldCtx, chain: list[_Level], start: int, m: np.ndarray):
-    """Sift m through the chain; returns (residue, first level not entered)."""
+def _sift(ctx: FieldCtx, chain: list[_Level], start: int, mats: np.ndarray):
+    """Sift a stack of matrices through chain[start:]; returns their residues
+    and, for each, the first level it did not enter."""
+    work = np.asarray(mats, dtype=np.int64)
+    res = np.empty_like(work)
+    stop = np.full(len(work), len(chain))
+    live = np.arange(len(work))
     for l in range(start, len(chain)):
         lvl = chain[l]
-        img = mat_vec(ctx, m, lvl.point)
-        idx = lvl.orbit.get(_vec_key(ctx, img))
-        if idx is None:
-            return m, l
-        m = mat_mul(ctx, lvl.t_inv[idx], m)
-    return m, len(chain)
+        pos = _find(lvl.keys, _keys(ctx, mat_vec(ctx, work, lvl.point), 4))
+        out = pos < 0
+        stop[live[out]] = l
+        res[live[out]] = work[out]
+        live, work = live[~out], mat_mul(ctx, lvl.t_inv[pos[~out]], work[~out])
+    res[live] = work
+    return res, stop
 
 
 def _schreier_generators(ctx: FieldCtx, lvl: _Level) -> np.ndarray:
-    t_stack = np.stack(lvl.t)
-    out = []
+    """The distinct Schreier generators t(g p)^-1 g t(p) of a level, in key order."""
+    keys = []
     for g in lvl.gens:
-        prods = mat_mul(ctx, g, t_stack)
-        imgs = mat_vec(ctx, prods, lvl.point)
-        idx = [lvl.orbit[k] for k in _vec_keys(ctx, imgs)]
-        tinv = np.stack([lvl.t_inv[i] for i in idx])
-        out.append(mat_mul(ctx, tinv, prods))
-    return _dedup(ctx, np.concatenate(out))
+        prods = mat_mul(ctx, g, lvl.t)
+        pos = _find(lvl.keys, _keys(ctx, mat_vec(ctx, prods, lvl.point), 4))
+        keys.append(_keys(ctx, mat_mul(ctx, lvl.t_inv[pos], prods)))
+    return _decode(ctx, np.unique(np.concatenate(keys)))
+
+
+def _add_generator(ctx: FieldCtx, chain: list[_Level], m: np.ndarray, levels: range) -> None:
+    """Add m and its inverse to the given levels, extending the base by a basis
+    vector that m moves when the levels run past the end of the chain."""
+    if levels.stop > len(chain):
+        chain.append(_Level(_moved_basis_vector(ctx, m)))
+    minv = mat_inv(ctx, m)
+    for l in levels:
+        chain[l].gens.append(m)
+        chain[l].gen_invs.append(minv)
+        chain[l].stale = True
 
 
 def bsgs_group(ctx: FieldCtx, gens) -> GroupHandle:
@@ -336,59 +320,32 @@ def bsgs_group(ctx: FieldCtx, gens) -> GroupHandle:
     gens = [g for g in _dedup(ctx, np.asarray(gens, dtype=np.int64).reshape(-1, 4, 4))
             if not is_identity(ctx, g)]
     chain: list[_Level] = []
-
     for g in gens:
-        # g belongs to every level up to the first base point it moves;
-        # extend the base if it fixes them all
+        # g belongs to every level up to the first base point it moves
         moved = next(
             (l for l, lvl in enumerate(chain) if not np.array_equal(mat_vec(ctx, g, lvl.point), lvl.point)),
-            None,
+            len(chain),
         )
-        if moved is None:
-            e = _moved_basis_vector(ctx, g)
-            assert e is not None
-            chain.append(_Level(e))
-            moved = len(chain) - 1
-        ginv = mat_inv(ctx, g)
-        for l in range(moved + 1):
-            chain[l].gens.append(g)
-            chain[l].gen_invs.append(ginv)
-            chain[l].stale = True
+        _add_generator(ctx, chain, g, range(moved + 1))
 
-    h = GroupHandle(ctx, np.stack(gens) if gens else identity(ctx)[None])
-    if not chain:
-        h._chain = []
-        h.order = 1
-        return h
-
+    ident = identity(ctx)
     i = len(chain) - 1
     while i >= 0:
-        lvl = chain[i]
-        if lvl.stale:
-            _recompute_orbit(ctx, lvl)
-        descend = None
-        for s in _schreier_generators(ctx, lvl):
-            res, j = _strip(ctx, chain, i + 1, s)
-            if not is_identity(ctx, res):
-                descend = (res, j)
-                break
-        if descend is None:
+        if chain[i].stale:
+            _build_orbit(ctx, chain[i])
+        # residues depend only on the chain, which sifting does not change, so
+        # the first non-identity one in key order is a deterministic choice
+        res, stop = _sift(ctx, chain, i + 1, _schreier_generators(ctx, chain[i]))
+        moved = np.flatnonzero((res != ident).any(axis=(1, 2)))
+        if not len(moved):
             i -= 1
             continue
-        res, j = descend
-        if j == len(chain):
-            e = _moved_basis_vector(ctx, res)
-            assert e is not None
-            chain.append(_Level(e))
-        rinv = mat_inv(ctx, res)
-        for l in range(i + 1, j + 1):
-            chain[l].gens.append(res)
-            chain[l].gen_invs.append(rinv)
-            chain[l].stale = True
+        j = int(stop[moved[0]])
+        _add_generator(ctx, chain, res[moved[0]], range(i + 1, j + 1))
         i = j
-    order = 1
-    for lvl in chain:
-        order *= len(lvl.vecs)
+    h = GroupHandle(ctx, np.stack(gens) if gens else ident[None])
     h._chain = chain
-    h.order = order
+    h.order = 1
+    for lvl in chain:
+        h.order *= len(lvl.keys)
     return h

@@ -14,7 +14,9 @@ import numpy as np
 
 from .builder import StarParams, reduced_generators
 from .classify import classify_rank4
-from .matgroup import DEFAULT_CAP, GroupHandle, enumerate_group, mat_mul
+from .matgroup import DEFAULT_CAP, enumerate_group, mat_mul
+
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -118,23 +120,49 @@ class IncidenceReport:
     crossfoot_ok: bool
 
 
-def _coset_labels(group: GroupHandle, elements: np.ndarray, sub: np.ndarray) -> np.ndarray:
-    """Label each of the group's elements by its right coset of sub."""
-    labels = np.full(len(elements), -1, dtype=np.int64)
-    nxt = 0
-    for i in range(len(elements)):
-        if labels[i] >= 0:
-            continue
-        labels[group.index(mat_mul(group.ctx, sub, elements[i]))] = nxt
-        nxt += 1
-    return labels
+def _coset_labels(perms: list[np.ndarray]) -> np.ndarray:
+    """Label each element by its right coset of the subgroup generated by the
+    generators whose permutations are given: the least position reachable
+    along them, spread until nothing changes."""
+    labels = np.arange(len(perms[0]))
+    while True:
+        new = np.minimum.reduce([labels] + [labels[p] for p in perms])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
 
 
-def _distinct_counts(group_by: np.ndarray, values: np.ndarray) -> dict[int, set]:
-    out: dict[int, set] = {}
-    for g, v in zip(group_by.tolist(), values.tolist()):
-        out.setdefault(g, set()).add(v)
-    return out
+def _face_labels(params: StarParams, ringed_node: int, cap: int) -> tuple[np.ndarray, ...]:
+    """Coset labels of every group element for edges, P-cells, Q-cells and vertices."""
+    if ringed_node not in (0, 2):
+        raise ValueError("supported ringed nodes are 0 and 2")
+    ctx, gens, _ = reduced_generators(params)
+    group = enumerate_group(ctx, gens, cap=cap)
+    elements = group.elements
+    # for each generator g, the permutation of element positions made by left
+    # multiplication by g, a chunk of elements at a time to bound memory
+    perms = [
+        np.concatenate([
+            group.index(mat_mul(ctx, g, elements[i : i + _CHUNK]))
+            for i in range(0, len(elements), _CHUNK)
+        ])
+        for g in gens
+    ]
+
+    def labels(idx):
+        return _coset_labels([perms[i] for i in idx])
+
+    cell_q, vertex = ((1, 2, 3), (0, 1, 3)) if ringed_node == 2 else ((0, 1, 3), (1, 2, 3))
+    return labels((0, 2, 3)), labels((0, 1, 2)), labels(cell_q), labels(vertex)
+
+
+def _distinct_counts(group_by: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """For each distinct label in group_by, in sorted order, the number of
+    distinct values beside it; labels and values are element positions."""
+    n = len(group_by)
+    pairs = np.unique(group_by * n + values)
+    return np.unique(pairs // n, return_counts=True)[1]
 
 
 def incidence_report(
@@ -146,34 +174,17 @@ def incidence_report(
     cell-edge incidence totals cross-foot both ways, and reports the
     distinct (P-cells, Q-cells) profiles seen at vertices.
     """
-    if ringed_node not in (0, 2):
-        raise ValueError("supported ringed nodes are 0 and 2")
-    ctx, gens, _ = reduced_generators(params)
-    group = enumerate_group(ctx, gens, cap=cap)
-    elements = group.elements
-
-    def labels(idx):
-        sub = enumerate_group(ctx, gens[list(idx)], cap=cap).elements
-        return _coset_labels(group, elements, sub)
-
-    edge = labels((0, 2, 3))
-    cell_p = labels((0, 1, 2))
-    cell_q = labels((1, 2, 3)) if ringed_node == 2 else labels((0, 1, 3))
-    vertex = labels((0, 1, 3)) if ringed_node == 2 else labels((1, 2, 3))
-
-    per_edge_p = _distinct_counts(edge, cell_p)
-    per_edge_q = _distinct_counts(edge, cell_q)
-    edges_ok = all(len(s) == 2 for s in per_edge_p.values()) and all(
-        len(s) == 2 for s in per_edge_q.values()
+    edge, cell_p, cell_q, vertex = _face_labels(params, ringed_node, cap)
+    edges_ok = bool(
+        (_distinct_counts(edge, cell_p) == 2).all() and (_distinct_counts(edge, cell_q) == 2).all()
     )
-
-    vp = _distinct_counts(vertex, cell_p)
-    vq = _distinct_counts(vertex, cell_q)
-    profile = {(len(vp[v]), len(vq[v])) for v in vp}
+    profile = set(zip(
+        _distinct_counts(vertex, cell_p).tolist(), _distinct_counts(vertex, cell_q).tolist()
+    ))
 
     crossfoot_ok = True
     for cells in (cell_p, cell_q):
-        per_cell = [len(s) for s in _distinct_counts(cells, edge).values()]
-        incidences = sum(len(s) for s in _distinct_counts(edge, cells).values())
+        per_cell = _distinct_counts(cells, edge).tolist()
+        incidences = int(_distinct_counts(edge, cells).sum())
         crossfoot_ok &= len(set(per_cell)) == 1 and per_cell[0] * len(per_cell) == incidences
     return IncidenceReport(edges_ok, tuple(sorted(profile)), crossfoot_ok)

@@ -12,7 +12,6 @@ from starcox.cgroup import (
     replacement_generator,
     verify_cgroup,
 )
-from starcox.field import build_field
 from starcox.matgroup import element_order, mat_mul, mat_vec
 from starcox.ring import GoldenInt, classify_prime
 

@@ -229,6 +229,25 @@ def test_survey_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_survey_interrupt_keeps_finished_rows(tmp_path, monkeypatch):
+    out_path = tmp_path / "rows.jsonl"
+    made = []
+    real_row = cli._survey_row
+
+    def row(*args):
+        if len(made) == 2:
+            raise KeyboardInterrupt
+        made.append(real_row(*args))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "_survey_row", row)
+    with pytest.raises(KeyboardInterrupt):
+        main(["survey", "--k", "all", "--max-norm", "5", "--out", str(out_path)])
+    text = out_path.read_text()
+    assert text.endswith("\n")
+    assert [json.loads(s) for s in text.splitlines()] == made
+
+
 def test_survey_stdout_and_norm_bound(capsys):
     rc, out, _ = run(capsys, "survey", "--k", "5", "--max-norm", "4")
     assert rc == 0

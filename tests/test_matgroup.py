@@ -15,7 +15,6 @@ from starcox.matgroup import (
     enumerate_group,
     identity,
     is_identity,
-    mat_from_rows,
     mat_inv,
     mat_mul,
     mat_vec,
@@ -200,6 +199,11 @@ def test_uint16_keys_index_and_membership():
     assert not d3.contains(outsider)
     with pytest.raises(ValueError):
         d3.index(np.stack([elems[0], outsider]))
+    # the chain's orbit keys hold vectors, also two bytes per entry
+    chain = bsgs_group(ctx, gens[[1, 2]])
+    assert chain.order == 6
+    assert chain.contains_batch(elems).all()
+    assert not chain.contains(outsider)
 
 
 def test_bsgs_elements_unavailable():

@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from starcox.builder import StarParams, reduced_generators
+from starcox.builder import StarParams
 from starcox.cgroup import distinguished
 from starcox.classify import classify_rank4
-from starcox.matgroup import OverCapError
-from starcox.polytope import (
-    PolytopeStats,
-    face_counts,
-    incidence_report,
-)
+from starcox.matgroup import DEFAULT_CAP, OverCapError
+from starcox.polytope import _face_labels, face_counts, incidence_report
 from starcox.ring import GoldenInt, classify_prime
 
 SQRT5 = classify_prime(GoldenInt(-1, 2))
@@ -88,6 +85,14 @@ def test_ramified_prime_incidence():
     assert rep.edges_ok
     assert rep.crossfoot_ok
     assert rep.vertex_profile == ((4, 4),)
+
+
+@pytest.mark.parametrize("k,p,ring", [(3, P2, 2), (3, SQRT5, 0)], ids=["p2-ring2", "sqrt5-ring0"])
+def test_coset_labels_match_face_counts(k, p, ring):
+    st = face_counts(params(k, p), ring)
+    edge, cell_p, cell_q, vertex = _face_labels(params(k, p), ring, DEFAULT_CAP)
+    distinct = [len(np.unique(labels)) for labels in (edge, cell_p, cell_q, vertex)]
+    assert distinct == [st.edges, st.cells_p, st.cells_q, st.vertices]
 
 
 def test_incidence_respects_cap():
