@@ -207,6 +207,16 @@ def reduced_generators(params: StarParams) -> tuple[FieldCtx, np.ndarray, Smooth
     return ctx, gens, SmoothnessReport(orders, expected, tuple(bad))
 
 
+def kept(omit) -> list[int]:
+    """Indices of the generators of G_omit, the subgroup generated by the
+    generators not in omit: kept("02") == [1, 3]. omit is a string of
+    digits or an iterable of indices."""
+    omitted = {int(i) for i in omit}
+    if not omitted <= {0, 1, 2, 3}:
+        raise ValueError("generator indices are 0..3")
+    return [i for i in range(4) if i not in omitted]
+
+
 def generator_word(ctx: FieldCtx, gens: np.ndarray, idx) -> np.ndarray:
     """The product gens[i0] gens[i1] ... over F_q."""
     m = gens[idx[0]]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import StarParams, generator_word, reduced_generators, torus_words
+from .builder import StarParams, generator_word, kept, reduced_generators, torus_words
 from .field import FieldCtx
 from .matgroup import (
     DEFAULT_CAP,
@@ -24,14 +24,34 @@ from .matgroup import (
 from .ring import PrimeClass
 
 
+# The six intersection checks G_I & G_J = G_(I|J), rank-3 pairs first, where
+# G_I is the subgroup generated by the generators not in I (builder.kept).
+_CHECKS = (("02", "03"), ("02", "23"), ("03", "23"), ("0", "2"), ("0", "3"), ("2", "3"))
+# The subgroups built: the maximal and dihedral ones, whose orders are
+# reported in this order, then <r1> = G_023.
+_SUBGROUPS = ("0", "1", "2", "3", "02", "03", "23", "023")
+
+
+def _union(i: str, j: str) -> str:
+    return "".join(sorted(set(i) | set(j)))
+
+
+def _name(omit: str) -> str:
+    return "<r1>" if omit == "023" else f"G{omit}"
+
+
+CHECK_NAMES = tuple(f"{_name(i)}&{_name(j)}={_name(_union(i, j))}" for i, j in _CHECKS)
+
+
 @dataclass(frozen=True, eq=False)
 class IntersectionReport:
     """Outcome of the six subgroup-intersection checks of one reduction.
 
     rank3_checks hold the three pairwise dihedral intersections against
     <r1>; rank4_checks hold the three rank-3 intersections against the
-    dihedral subgroups. witness carries an offending matrix (a duplicated
-    generator, or an element of a symmetric difference) when a check fails.
+    dihedral subgroups, named in CHECK_NAMES. witness carries an
+    offending matrix (a bad generator, or an element of G_I & G_J outside
+    G_(I|J)) when a check fails.
     """
 
     rank3_checks: tuple[bool, bool, bool]
@@ -47,14 +67,11 @@ class IntersectionReport:
 
 def distinguished(params: StarParams, omit, cap: int = DEFAULT_CAP) -> GroupHandle:
     """Enumerate the subgroup generated by the generators not in omit."""
-    omit = frozenset(omit)
-    if not omit:
+    keep = kept(omit)
+    if len(keep) == 4:
         raise ValueError("omit at least one generator index")
-    if not omit <= {0, 1, 2, 3}:
-        raise ValueError("generator indices are 0..3")
     ctx, gens, _ = reduced_generators(params)
-    keep = np.stack([gens[i] for i in range(4) if i not in omit])
-    return enumerate_group(ctx, keep, cap=cap)
+    return enumerate_group(ctx, gens[keep], cap=cap)
 
 
 def _generator_gate(ctx: FieldCtx, gens: np.ndarray):
@@ -78,50 +95,16 @@ def _generator_gate(ctx: FieldCtx, gens: np.ndarray):
     return None, ""
 
 
-def _set_equal(a: GroupHandle, b: GroupHandle):
-    """Equality of two enumerated groups, with an offending element if not."""
-    ea = a.elements
-    mask = b.contains_batch(ea)
-    if not mask.all():
-        return False, ea[int(np.flatnonzero(~mask)[0])]
-    if a.order == b.order:
-        return True, None
-    eb = b.elements
-    return False, eb[int(np.flatnonzero(~a.contains_batch(eb))[0])]
-
-
-_RANK3_PAIRS = (("G02", "G03"), ("G02", "G23"), ("G03", "G23"))
-_RANK4_TRIPLES = (("G0", "G2", "G02"), ("G0", "G3", "G03"), ("G2", "G3", "G23"))
-
-
-def _dihedral_handles(ctx: FieldCtx, gens: np.ndarray, cap: int) -> dict[str, GroupHandle]:
-    return {
-        "G02": enumerate_group(ctx, gens[[1, 3]], cap=cap),
-        "G03": enumerate_group(ctx, gens[[1, 2]], cap=cap),
-        "G23": enumerate_group(ctx, gens[[0, 1]], cap=cap),
-    }
-
-
-def _rank3_checks(ctx, gens, dihedrals):
-    r1_group = enumerate_group(ctx, gens[[1]])
-    checks, witness, note = [], None, ""
-    for na, nb in _RANK3_PAIRS:
-        inter = dihedrals[na].intersect(dihedrals[nb])
-        ok, bad = _set_equal(inter, r1_group)
-        checks.append(ok)
-        if not ok and witness is None:
-            witness, note = bad, f"{na} meets {nb} away from <r1>"
-    return tuple(checks), witness, note
-
-
 def verify_cgroup(
     params: StarParams, generators: np.ndarray | None = None, cap: int = DEFAULT_CAP
 ) -> IntersectionReport:
     """Full intersection verification of one reduction.
 
-    Enumerates the dihedral and small rank-3 subgroups, keeps the largest
-    rank-3 subgroup (omitting r2) behind a stabilizer-chain membership test,
-    and never touches the full group. generators replaces the reduced stack
+    Enumerates every subgroup of _SUBGROUPS but G2, the largest rank-3 one,
+    which stays behind a stabilizer-chain membership test; the full group is
+    never touched. G_(I|J) lies in G_I & G_J by construction, so a check
+    fails exactly when an element of the intersection is not in G_(I|J),
+    and that element is the witness. generators replaces the reduced stack
     for negative controls.
     """
     ctx, gens, _ = reduced_generators(params)
@@ -131,23 +114,23 @@ def verify_cgroup(
     if bad is not None:
         return IntersectionReport((False,) * 3, (False,) * 3, bad, note, {})
 
-    handles = _dihedral_handles(ctx, gens, cap)
-    handles["G0"] = enumerate_group(ctx, gens[[1, 2, 3]], cap=cap)
-    handles["G1"] = enumerate_group(ctx, gens[[0, 2, 3]], cap=cap)
-    handles["G3"] = enumerate_group(ctx, gens[[0, 1, 2]], cap=cap)
-    handles["G2"] = bsgs_group(ctx, gens[[0, 1, 3]])
+    groups = {
+        omit: bsgs_group(ctx, gens[kept(omit)]) if omit == "2"
+        else enumerate_group(ctx, gens[kept(omit)], cap=cap)
+        for omit in _SUBGROUPS
+    }
+    checks, witness = [], None
+    for i, j in _CHECKS:
+        u = _union(i, j)
+        meet = groups[i].intersect(groups[j]).elements
+        inside = groups[u].contains_batch(meet)
+        checks.append(bool(inside.all()))
+        if witness is None and not checks[-1]:
+            witness = meet[int(np.argmin(inside))]
+            note = f"{_name(i)} meets {_name(j)} away from {_name(u)}"
 
-    rank3, witness, note = _rank3_checks(ctx, gens, handles)
-
-    rank4 = []
-    for na, nb, nexp in _RANK4_TRIPLES:
-        ok, bad = _set_equal(handles[na].intersect(handles[nb]), handles[nexp])
-        rank4.append(ok)
-        if not ok and witness is None:
-            witness, note = bad, f"{na} meets {nb} away from {nexp}"
-
-    orders = {name: handles[name].order for name in ("G0", "G1", "G2", "G3", "G02", "G03", "G23")}
-    return IntersectionReport(rank3, tuple(rank4), witness, note, orders)
+    orders = {f"G{omit}": groups[omit].order for omit in _SUBGROUPS[:-1]}
+    return IntersectionReport(tuple(checks[:3]), tuple(checks[3:]), witness, note, orders)
 
 
 def replacement_generator(params: StarParams, i: int = 0):

@@ -10,7 +10,7 @@ import sys
 from contextlib import nullcontext
 
 from .builder import K_INF, StarParams, reduced_generators
-from .cgroup import verify_cgroup
+from .cgroup import CHECK_NAMES, verify_cgroup
 from .classify import classify_rank4, table3_lookup
 from .matgroup import DEFAULT_CAP, OverCapError, bsgs_group, enumerate_group
 from .polytope import face_counts
@@ -33,9 +33,6 @@ EXIT_OVERCAP = 4
 MIN_SURVEY_NORM = 4
 MAX_SURVEY_NORM = 200
 BSGS_MAX_Q = 64
-
-_RANK3_NAMES = ("G02&G03=<r1>", "G02&G23=<r1>", "G03&G23=<r1>")
-_RANK4_NAMES = ("G0&G2=G02", "G0&G3=G03", "G2&G3=G23")
 
 
 class UsageError(Exception):
@@ -165,7 +162,7 @@ def cmd_verify(args) -> int:
         print(json.dumps(out))
     else:
         print(f"prime {p.value}  class {p.klass.value}  q {p.q}")
-        for name, ok in zip(_RANK3_NAMES + _RANK4_NAMES, rep.rank3_checks + rep.rank4_checks):
+        for name, ok in zip(CHECK_NAMES, rep.rank3_checks + rep.rank4_checks):
             print(f"{name} {str(ok).lower()}")
         if rep.subgroup_orders:
             print("orders " + " ".join(f"{n}={v}" for n, v in sorted(rep.subgroup_orders.items())))

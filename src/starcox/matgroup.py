@@ -21,6 +21,7 @@ from .field import FieldCtx
 
 DEFAULT_CAP = 2_500_000
 _CHUNK = 1 << 21
+_SIFT_ROWS = 1 << 13
 
 
 class OverCapError(RuntimeError):
@@ -29,15 +30,6 @@ class OverCapError(RuntimeError):
 
 class SingularMatrixError(ValueError):
     """Inversion of a singular matrix was requested."""
-
-
-def mat_from_rows(ctx: FieldCtx, rows) -> np.ndarray:
-    """Build a matrix of packed codes from rows of (x, y) pairs or ints."""
-    out = np.zeros((4, 4), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            out[i, j] = ctx.encode(*v) if isinstance(v, tuple) else ctx.encode(v)
-    return out
 
 
 def identity(ctx: FieldCtx) -> np.ndarray:
@@ -172,17 +164,20 @@ class GroupHandle:
     def contains(self, m: np.ndarray) -> bool:
         return bool(self.contains_batch(m[None])[0])
 
-    __contains__ = contains
-
     def contains_batch(self, mats: np.ndarray) -> np.ndarray:
         """Vectorized membership for a stack of matrices. On a chain a matrix
         is a member when its residue is the identity: one whose image leaves
-        an orbit keeps a residue that moves that level's base point."""
+        an orbit keeps a residue that moves that level's base point. Matrices
+        are sifted _SIFT_ROWS at a time, to bound memory."""
         if self._sorted_keys is not None:
             return _find(self._sorted_keys, _keys(self.ctx, mats)) >= 0
         assert self._chain is not None
-        res, _ = _sift(self.ctx, self._chain, 0, mats)
-        return (res == identity(self.ctx)).all(axis=(1, 2))
+        ident = identity(self.ctx)
+        out = np.empty(len(mats), dtype=bool)
+        for i in range(0, len(mats), _SIFT_ROWS):
+            res, _ = _sift(self.ctx, self._chain, 0, mats[i : i + _SIFT_ROWS])
+            out[i : i + _SIFT_ROWS] = (res == ident).all(axis=(1, 2))
+        return out
 
     def intersect(self, other: GroupHandle) -> GroupHandle:
         """Intersection, listed from the smaller enumerated side."""

@@ -9,14 +9,22 @@ families come from the two unringed outer nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .builder import StarParams, reduced_generators
+from .builder import StarParams, kept, reduced_generators
 from .classify import classify_rank4
 from .matgroup import DEFAULT_CAP, enumerate_group, mat_mul
 
 _CHUNK = 1 << 16
+
+# The face stabilizers of each ringing, named by the generators they omit
+# (builder.kept), in the order of PolytopeStats' counts.
+_FACES = {
+    2: {"vertex": "2", "edge": "1", "subfacet": "03", "P-cell": "3", "Q-cell": "0"},
+    0: {"vertex": "0", "edge": "1", "subfacet": "23", "P-cell": "3", "Q-cell": "2"},
+}
 
 
 @dataclass(frozen=True)
@@ -74,6 +82,12 @@ def _index(full_order: int, sub_order: int, what: str) -> int:
     return full_order // sub_order
 
 
+def _signature(order: int, omit: str, m: dict) -> tuple[int, tuple[int, ...]]:
+    """A cell group's order and the product orders of its generator pairs
+    that meet r1, the branch node of the diagram."""
+    return order, tuple(m[pair] for pair in combinations(kept(omit), 2) if 1 in pair)
+
+
 def face_counts(params: StarParams, ringed_node: int, cap: int = DEFAULT_CAP) -> PolytopeStats:
     """Coset counts of the five face families for ringed node 0 or 2.
 
@@ -81,34 +95,17 @@ def face_counts(params: StarParams, ringed_node: int, cap: int = DEFAULT_CAP) ->
     come from enumeration, capped at cap elements, so every count is an
     exact subgroup index.
     """
-    if ringed_node not in (0, 2):
+    if ringed_node not in _FACES:
         raise ValueError("supported ringed nodes are 0 and 2")
     ctx, gens, smooth_rep = reduced_generators(params)
     n = classify_rank4(params).predicted_order
+    faces = _FACES[ringed_node]
+    orders = {f: enumerate_group(ctx, gens[kept(omit)], cap=cap).order for f, omit in faces.items()}
+    counts = [_index(n, order, f"{f} stabilizer") for f, order in orders.items()]
     m = smooth_rep.product_orders
-
-    def sub(idx):
-        return enumerate_group(ctx, gens[list(idx)], cap=cap).order
-
-    edges = _index(n, sub((0, 2, 3)), "edge stabilizer")
-    p_order = sub((0, 1, 2))
-    cells_p = _index(n, p_order, "P-cell stabilizer")
-    sig_p = (p_order, (m[(0, 1)], m[(1, 2)]))
-    if ringed_node == 2:
-        vertices = _index(n, sub((0, 1, 3)), "vertex stabilizer")
-        subfacets = _index(n, sub((1, 2)), "subfacet stabilizer")
-        q_order = sub((1, 2, 3))
-        sig_q = (q_order, (m[(1, 2)], m[(1, 3)]))
-    else:
-        vertices = _index(n, sub((1, 2, 3)), "vertex stabilizer")
-        subfacets = _index(n, sub((0, 1)), "subfacet stabilizer")
-        q_order = sub((0, 1, 3))
-        sig_q = (q_order, (m[(0, 1)], m[(1, 3)]))
-    cells_q = _index(n, q_order, "Q-cell stabilizer")
+    sig_p, sig_q = (_signature(orders[c], faces[c], m) for c in ("P-cell", "Q-cell"))
     orbit = "Regular" if sig_p == sig_q else "TwoOrbit"
-    return PolytopeStats(
-        ringed_node, vertices, edges, subfacets, cells_p, cells_q, sig_p, sig_q, orbit
-    )
+    return PolytopeStats(ringed_node, *counts, sig_p, sig_q, orbit)
 
 
 @dataclass(frozen=True)
@@ -135,7 +132,7 @@ def _coset_labels(perms: list[np.ndarray]) -> np.ndarray:
 
 def _face_labels(params: StarParams, ringed_node: int, cap: int) -> tuple[np.ndarray, ...]:
     """Coset labels of every group element for edges, P-cells, Q-cells and vertices."""
-    if ringed_node not in (0, 2):
+    if ringed_node not in _FACES:
         raise ValueError("supported ringed nodes are 0 and 2")
     ctx, gens, _ = reduced_generators(params)
     group = enumerate_group(ctx, gens, cap=cap)
@@ -150,11 +147,11 @@ def _face_labels(params: StarParams, ringed_node: int, cap: int) -> tuple[np.nda
         for g in gens
     ]
 
-    def labels(idx):
-        return _coset_labels([perms[i] for i in idx])
-
-    cell_q, vertex = ((1, 2, 3), (0, 1, 3)) if ringed_node == 2 else ((0, 1, 3), (1, 2, 3))
-    return labels((0, 2, 3)), labels((0, 1, 2)), labels(cell_q), labels(vertex)
+    faces = _FACES[ringed_node]
+    return tuple(
+        _coset_labels([perms[i] for i in kept(faces[face])])
+        for face in ("edge", "P-cell", "Q-cell", "vertex")
+    )
 
 
 def _distinct_counts(group_by: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -170,9 +167,10 @@ def incidence_report(
 ) -> IncidenceReport:
     """Materialize all cosets and check the alternation of cells around edges.
 
-    Verifies that every edge meets exactly two cells of each family, that
-    cell-edge incidence totals cross-foot both ways, and reports the
-    distinct (P-cells, Q-cells) profiles seen at vertices.
+    Verifies that every edge meets exactly two cells of each family and
+    that every cell of a family meets the same number of edges
+    (crossfoot_ok), and reports the distinct (P-cells, Q-cells) profiles
+    seen at vertices.
     """
     edge, cell_p, cell_q, vertex = _face_labels(params, ringed_node, cap)
     edges_ok = bool(
@@ -182,9 +180,7 @@ def incidence_report(
         _distinct_counts(vertex, cell_p).tolist(), _distinct_counts(vertex, cell_q).tolist()
     ))
 
-    crossfoot_ok = True
-    for cells in (cell_p, cell_q):
-        per_cell = _distinct_counts(cells, edge).tolist()
-        incidences = int(_distinct_counts(edge, cells).sum())
-        crossfoot_ok &= len(set(per_cell)) == 1 and per_cell[0] * len(per_cell) == incidences
+    crossfoot_ok = all(
+        len(np.unique(_distinct_counts(cells, edge))) == 1 for cells in (cell_p, cell_q)
+    )
     return IncidenceReport(edges_ok, tuple(sorted(profile)), crossfoot_ok)

@@ -14,6 +14,7 @@ from starcox.builder import (
     det_identities,
     generator_matrices,
     gram,
+    kept,
     reduced_generators,
     rho,
     root_norms,
@@ -171,3 +172,12 @@ def test_reduction_is_matrix_homomorphism():
                 lhs = (a @ b).reduce(ctx)
                 rhs = mat_mul(ctx, a.reduce(ctx), b.reduce(ctx))
                 assert np.array_equal(lhs, rhs)
+
+
+def test_kept_names_subgroups_by_omitted_generators():
+    assert kept("02") == [1, 3]
+    assert kept((0, 2)) == kept("20") == [1, 3]
+    assert kept("023") == [1]
+    assert kept("") == [0, 1, 2, 3]
+    with pytest.raises(ValueError):
+        kept("4")

@@ -5,14 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from starcox.builder import K_INF, StarParams, reduced_generators
+from starcox.builder import K_INF, StarParams, kept, reduced_generators
 from starcox.cgroup import (
     distinguished,
     lemma41_check,
     replacement_generator,
     verify_cgroup,
 )
-from starcox.matgroup import element_order, mat_mul, mat_vec
+from starcox.matgroup import element_order, enumerate_group, identity, mat_mul, mat_vec
 from starcox.ring import GoldenInt, classify_prime
 
 SQRT5 = classify_prime(GoldenInt(-1, 2))
@@ -87,6 +87,24 @@ def test_negative_control_repeated_generator():
     assert rep.rank4_checks == (False, False, False)
     assert "coincide" in rep.witness_note
     assert rep.witness is not None
+
+
+def test_negative_control_intersection_witness():
+    # r2 replaced by the involution r1 r0 r1 passes the generator gate, so
+    # the failure is found by the intersection checks themselves
+    p = params(3, P11)
+    ctx, gens, _ = reduced_generators(p)
+    r = mat_mul(ctx, mat_mul(ctx, gens[1], gens[0]), gens[1])
+    corrupted = np.stack([gens[0], gens[1], r, gens[3]])
+    rep = verify_cgroup(p, generators=corrupted)
+    assert rep.rank3_checks == (True, True, False)
+    assert rep.rank4_checks == (False, True, True)
+    assert rep.witness_note == "G03 meets G23 away from <r1>"
+    w = rep.witness
+    assert enumerate_group(ctx, corrupted[kept("03")]).contains(w)
+    assert enumerate_group(ctx, corrupted[kept("23")]).contains(w)
+    assert not np.array_equal(w, gens[1])
+    assert not np.array_equal(w, identity(ctx))
 
 
 def test_negative_control_non_involution():
