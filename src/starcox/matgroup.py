@@ -10,7 +10,9 @@ deduplication, membership, intersection and element positions alike, and
 ``elements`` decodes them on access. A Schreier-Sims level stores its orbit
 as the sorted keys of the orbit vectors, with the transversal as stacked
 arrays in the same order; one batched sift serves membership and the
-Schreier generators alike.
+Schreier generators alike. Schreier-Sims is incremental: a level's Schreier
+generators are formed once per orbit build, and a revisit sifts only those
+after the one whose residue was last added.
 """
 
 from __future__ import annotations
@@ -226,15 +228,15 @@ class _Level:
     """One stabilizer level: a base point, the generators that fix every earlier
     base point, and the orbit of the point. The orbit is the sorted array of
     the keys of its vectors; ``t`` and ``t_inv`` are stacked arrays in key
-    order, so ``t[i]`` maps the point to the vector of ``keys[i]``."""
+    order, so ``t[i]`` maps the point to the vector of ``keys[i]``. ``keys``,
+    ``t`` and ``t_inv`` are set by ``_build_orbit``."""
 
-    __slots__ = ("point", "gens", "gen_invs", "keys", "t", "t_inv", "stale")
+    __slots__ = ("point", "gens", "gen_invs", "keys", "t", "t_inv")
 
     def __init__(self, point: np.ndarray):
         self.point = point
         self.gens: list[np.ndarray] = []
         self.gen_invs: list[np.ndarray] = []
-        self.stale = True  # keys, t and t_inv are set by _build_orbit
 
 
 def _moved_basis_vector(ctx: FieldCtx, m: np.ndarray) -> np.ndarray:
@@ -245,25 +247,33 @@ def _moved_basis_vector(ctx: FieldCtx, m: np.ndarray) -> np.ndarray:
 
 
 def _build_orbit(ctx: FieldCtx, lvl: _Level) -> None:
-    """Breadth-first orbit of the base point, one layer for all generators at once."""
+    """Breadth-first orbit of the base point, one layer for all generators at
+    once. Each layer's transversal rows are appended in layer order, and only
+    the keys and the row numbers are kept sorted; the rows are put in key
+    order once, at the end."""
     gens, ginvs = np.stack(lvl.gens), np.stack(lvl.gen_invs)
     vecs = lvl.point[None]
-    lvl.keys = _keys(ctx, vecs, 4)
-    lvl.t = lvl.t_inv = t = t_inv = identity(ctx)[None]
+    keys = _keys(ctx, vecs, 4)
+    rows = np.zeros(1, dtype=np.intp)  # rows[i]: layer-order row of keys[i]
+    t = t_inv = identity(ctx)[None]
+    ts, t_invs = [t], [t_inv]
     while len(vecs):
         imgs = mat_vec(ctx, gens[:, None], vecs[None]).reshape(-1, 4)
         cand, first = np.unique(_keys(ctx, imgs, 4), return_index=True)
-        fresh = _find(lvl.keys, cand) < 0
+        fresh = _find(keys, cand) < 0
         cand, first = cand[fresh], first[fresh]
         g, f = np.divmod(first, len(vecs))
         vecs = imgs[first]
         t = mat_mul(ctx, gens[g], t[f])
         t_inv = mat_mul(ctx, t_inv[f], ginvs[g])
-        pos = np.searchsorted(lvl.keys, cand)
-        lvl.keys = np.insert(lvl.keys, pos, cand)
-        lvl.t = np.insert(lvl.t, pos, t, axis=0)
-        lvl.t_inv = np.insert(lvl.t_inv, pos, t_inv, axis=0)
-    lvl.stale = False
+        pos = np.searchsorted(keys, cand)
+        keys = np.insert(keys, pos, cand)
+        rows = np.insert(rows, pos, np.arange(len(rows), len(rows) + len(cand)))
+        ts.append(t)
+        t_invs.append(t_inv)
+    lvl.keys = keys
+    lvl.t = np.concatenate(ts)[rows]
+    lvl.t_inv = np.concatenate(t_invs)[rows]
 
 
 def _sift(ctx: FieldCtx, chain: list[_Level], start: int, mats: np.ndarray):
@@ -285,13 +295,13 @@ def _sift(ctx: FieldCtx, chain: list[_Level], start: int, mats: np.ndarray):
 
 
 def _schreier_generators(ctx: FieldCtx, lvl: _Level) -> np.ndarray:
-    """The distinct Schreier generators t(g p)^-1 g t(p) of a level, in key order."""
+    """The sorted keys of the distinct Schreier generators t(g p)^-1 g t(p) of a level."""
     keys = []
     for g in lvl.gens:
         prods = mat_mul(ctx, g, lvl.t)
         pos = _find(lvl.keys, _keys(ctx, mat_vec(ctx, prods, lvl.point), 4))
         keys.append(_keys(ctx, mat_mul(ctx, lvl.t_inv[pos], prods)))
-    return _decode(ctx, np.unique(np.concatenate(keys)))
+    return np.unique(np.concatenate(keys))
 
 
 def _add_generator(ctx: FieldCtx, chain: list[_Level], m: np.ndarray, levels: range) -> None:
@@ -303,7 +313,6 @@ def _add_generator(ctx: FieldCtx, chain: list[_Level], m: np.ndarray, levels: ra
     for l in levels:
         chain[l].gens.append(m)
         chain[l].gen_invs.append(minv)
-        chain[l].stale = True
 
 
 def bsgs_group(ctx: FieldCtx, gens) -> GroupHandle:
@@ -311,6 +320,20 @@ def bsgs_group(ctx: FieldCtx, gens) -> GroupHandle:
 
     Base points are standard basis vectors chosen greedily; the stabilizer of
     all four is trivial, so the chain has at most four levels.
+
+    Levels are completed from the last one up. A level's Schreier generators
+    are formed once per orbit build, deduplicated and sifted through the
+    levels below it in key order; the first one whose residue is not the
+    identity adds that residue to the levels it reached, and those levels
+    are built again. Residues depend only on the chain, so this is a
+    deterministic choice. Until its own generators change, a level keeps as
+    its record the keys of the Schreier generators after the one whose
+    residue was added, and a revisit sifts only those. That picks the same
+    residue as sifting them all again: every earlier generator sifted to the
+    identity through a chain that has only grown since, so it is still a
+    member of the group below and still sifts to the identity, and so does
+    the one whose residue was added. Every Schreier generator is sifted, so
+    the order is exact.
     """
     gens = [g for g in _dedup(ctx, np.asarray(gens, dtype=np.int64).reshape(-1, 4, 4))
             if not is_identity(ctx, g)]
@@ -324,19 +347,24 @@ def bsgs_group(ctx: FieldCtx, gens) -> GroupHandle:
         _add_generator(ctx, chain, g, range(moved + 1))
 
     ident = identity(ctx)
+    # unsifted[l]: the sorted keys of level l's Schreier generators that are
+    # still to be sifted; a level whose generators changed has no record
+    unsifted: dict[int, np.ndarray] = {}
     i = len(chain) - 1
     while i >= 0:
-        if chain[i].stale:
+        if i not in unsifted:
             _build_orbit(ctx, chain[i])
-        # residues depend only on the chain, which sifting does not change, so
-        # the first non-identity one in key order is a deterministic choice
-        res, stop = _sift(ctx, chain, i + 1, _schreier_generators(ctx, chain[i]))
+            unsifted[i] = _schreier_generators(ctx, chain[i])
+        res, stop = _sift(ctx, chain, i + 1, _decode(ctx, unsifted[i]))
         moved = np.flatnonzero((res != ident).any(axis=(1, 2)))
         if not len(moved):
             i -= 1
             continue
-        j = int(stop[moved[0]])
-        _add_generator(ctx, chain, res[moved[0]], range(i + 1, j + 1))
+        first, j = int(moved[0]), int(stop[moved[0]])
+        unsifted[i] = unsifted[i][first + 1 :]
+        _add_generator(ctx, chain, res[first], range(i + 1, j + 1))
+        for l in range(i + 1, j + 1):
+            unsifted.pop(l, None)
         i = j
     h = GroupHandle(ctx, np.stack(gens) if gens else ident[None])
     h._chain = chain

@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from starcox import matgroup
 from starcox.builder import StarParams, reduced_generators
 from starcox.field import build_field
 from starcox.matgroup import (
     OverCapError,
     SingularMatrixError,
+    _keys,
     bsgs_group,
     element_order,
     enumerate_group,
@@ -204,6 +206,43 @@ def test_uint16_keys_index_and_membership():
     assert chain.order == 6
     assert chain.contains_batch(elems).all()
     assert not chain.contains(outsider)
+
+
+@pytest.mark.parametrize(
+    "k,prime,base,orbits,strong",
+    [
+        (3, (-4, -1), [1, 0, 3, 2], [6840, 342, 10, 2], [4, 2, 2, 1]),
+        (6, (-1, 4), [1, 2, 3], [6840, 380, 36], [4, 3, 2]),
+        (3, (-5, -1), [1, 0, 3, 2], [24360, 812, 15, 2], [4, 2, 2, 1]),
+    ],
+)
+def test_bsgs_chain_shape(k, prime, base, orbits, strong):
+    ctx, gens = gens_of(k, *prime)
+    chain = bsgs_group(ctx, gens)._chain
+    basis = identity(ctx)
+    assert [lvl.point.tolist() for lvl in chain] == [basis[b].tolist() for b in base]
+    assert [len(lvl.keys) for lvl in chain] == orbits
+    assert [len(lvl.gens) for lvl in chain] == strong
+    assert [len(lvl.t) for lvl in chain] == [len(lvl.t_inv) for lvl in chain] == orbits
+    for lvl in chain:
+        assert np.array_equal(np.sort(lvl.keys), lvl.keys)
+        assert np.array_equal(_keys(ctx, mat_vec(ctx, lvl.t, lvl.point), 4), lvl.keys)
+        assert (mat_mul(ctx, lvl.t_inv, lvl.t) == identity(ctx)).all()
+
+
+def test_bsgs_forms_schreier_generators_once_per_orbit_build(monkeypatch):
+    ctx, gens = gens_of(3, -5, -1)
+    calls = {"_build_orbit": 0, "_schreier_generators": 0}
+    for name in calls:
+        inner = getattr(matgroup, name)
+
+        def counted(*args, _name=name, _inner=inner):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(matgroup, name, counted)
+    assert bsgs_group(ctx, gens).order == 593_409_600
+    assert calls["_schreier_generators"] == calls["_build_orbit"]
 
 
 def test_bsgs_elements_unavailable():
