@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -176,6 +177,23 @@ class StarParams:
         ):
             raise ValueError("k = inf is supported only at sqrt5 and at 3")
 
+    @cached_property
+    def _reduction(self) -> tuple[FieldCtx, np.ndarray, SmoothnessReport]:
+        """Built on first use and kept on the instance; see reduced_generators."""
+        ctx = build_field(self.prime)
+        gens = np.stack([m.reduce(ctx) for m in generator_matrices(self.k)])
+        gens.setflags(write=False)
+        expected: dict[tuple[int, int], int | None] = dict(COXETER_EXPONENTS)
+        expected[(1, 3)] = self.k if self.k != K_INF else None
+        orders = {}
+        bad = []
+        for (i, j), want in sorted(expected.items()):
+            m = element_order(ctx, mat_mul(ctx, gens[i], gens[j]), cap=1000)
+            orders[(i, j)] = m
+            if want is not None and m != want:
+                bad.append((i, j))
+        return ctx, gens, SmoothnessReport(orders, expected, tuple(bad))
+
 
 @dataclass(frozen=True)
 class SmoothnessReport:
@@ -191,20 +209,12 @@ class SmoothnessReport:
 
 
 def reduced_generators(params: StarParams) -> tuple[FieldCtx, np.ndarray, SmoothnessReport]:
-    """Reduce the generator matrices mod the prime; report product orders."""
-    ctx = build_field(params.prime)
-    mats = generator_matrices(params.k)
-    gens = np.stack([m.reduce(ctx) for m in mats])
-    expected: dict[tuple[int, int], int | None] = dict(COXETER_EXPONENTS)
-    expected[(1, 3)] = params.k if params.k != K_INF else None
-    orders = {}
-    bad = []
-    for (i, j), want in sorted(expected.items()):
-        m = element_order(ctx, mat_mul(ctx, gens[i], gens[j]), cap=1000)
-        orders[(i, j)] = m
-        if want is not None and m != want:
-            bad.append((i, j))
-    return ctx, gens, SmoothnessReport(orders, expected, tuple(bad))
+    """Reduce the generator matrices mod the prime; report product orders.
+
+    The reduction is built once per StarParams instance and shared: the
+    generator stack is read-only.
+    """
+    return params._reduction
 
 
 def kept(omit) -> list[int]:

@@ -29,7 +29,6 @@ class Classification:
     predicted_order: int
     epsilon: int
     delta: int
-    smooth: bool = True
 
     @property
     def display(self) -> str:
@@ -76,10 +75,10 @@ def _orthogonal_family(sigma: int, dlt: int) -> str:
     return "O"
 
 
-def _orthogonal(n: int, q: int, eps: int, family: str, dlt: int, smooth: bool) -> Classification:
+def _orthogonal(n: int, q: int, eps: int, family: str, dlt: int) -> Classification:
     order = orthogonal_order(n, q, eps, full=(family == "O"))
     label = f"{family}({n},{q},{eps})"
-    return Classification(family, label, order, eps, dlt, smooth)
+    return Classification(family, label, order, eps, dlt)
 
 
 def classify_rank4(params: StarParams) -> Classification:
@@ -92,19 +91,18 @@ def classify_rank4(params: StarParams) -> Classification:
     k, p, mu = params.k, params.prime, params.scale
     if k == K_INF:
         raise ValueError("no orthogonal classification for k = inf")
-    _, _, rep = reduced_generators(params)
     if p.klass is PrimeClass.EVEN:
-        return Classification("exceptional", "C2^4:A5", 960, 0, 0, rep.smooth)
+        return Classification("exceptional", "C2^4:A5", 960, 0, 0)
     dlt = delta(k, p, mu)
     if k == 5 and p.klass is PrimeClass.CLASS_I:
-        return Classification("exceptional", "C5^3:(C2xA5)", 15_000, 0, dlt, rep.smooth)
+        return Classification("exceptional", "C5^3:(C2xA5)", 15_000, 0, dlt)
     if k == 6 and p.char == 3:
-        return Classification("exceptional", "3-singular", 174_960, 0, dlt, rep.smooth)
+        return Classification("exceptional", "3-singular", 174_960, 0, dlt)
     eps = epsilon(k, p, mu)
     if eps == 0:
         raise SingularFormError(f"singular form for k={k}, p={p.value} outside known cases")
     sigma = golden_legendre(GoldenInt(mu, 0), p)
-    return _orthogonal(4, p.q, eps, _orthogonal_family(sigma, dlt), dlt, rep.smooth)
+    return _orthogonal(4, p.q, eps, _orthogonal_family(sigma, dlt), dlt)
 
 
 _RANK3_COXETER = {3: ("A3", 24), 4: ("B3", 48), 5: ("H3", 120)}
@@ -143,7 +141,7 @@ def classify_rank3(i: int, params: StarParams) -> Classification:
         raise SingularFormError(f"singular 3x3 form for k={k}, p={p.value}")
     sigma = golden_legendre(GoldenInt(mu, 0), p)
     dlt = delta(k, p, mu)
-    return _orthogonal(3, p.q, 0, _orthogonal_family(sigma, dlt), dlt, True)
+    return _orthogonal(3, p.q, 0, _orthogonal_family(sigma, dlt), dlt)
 
 
 def _class_ii_eps(k: int, r: int) -> int:
@@ -172,37 +170,37 @@ def table3_lookup(params: StarParams) -> Classification:
 
     if p.klass is PrimeClass.CLASS_I:
         if k == 3:
-            return _orthogonal(4, 5, -1, "O1", 1, True)
+            return _orthogonal(4, 5, -1, "O1", 1)
         if k == 4:
-            return _orthogonal(4, 5, 1, "O", -1, True)
+            return _orthogonal(4, 5, 1, "O", -1)
         if k == 5:
             return Classification("exceptional", "C5^3:(C2xA5)", 15_000, 0, 1)
-        return _orthogonal(4, 5, -1, "O", -1, True)
+        return _orthogonal(4, 5, -1, "O", -1)
 
     if p.klass is PrimeClass.CLASS_II:
         r = p.char
         if k == 6:
             if r == 3:
                 return Classification("exceptional", "3-singular", 174_960, 0, 0)
-            return _orthogonal(4, q, 1, "O1", 1, True)
-        return _orthogonal(4, q, _class_ii_eps(k, r), "O1", 1, True)
+            return _orthogonal(4, q, 1, "O1", 1)
+        return _orthogonal(4, q, _class_ii_eps(k, r), "O1", 1)
 
     if k == 3:
-        return _orthogonal(4, q, rational_legendre(c * d, q), "O1", 1, True)
+        return _orthogonal(4, q, rational_legendre(c * d, q), "O1", 1)
     if k == 4:
         eps = rational_legendre(2 * c * d, q)
         family = "O" if q % 40 in (11, 19, 21, 29) else "O1"
-        return _orthogonal(4, q, eps, family, 1 if family == "O1" else -1, True)
+        return _orthogonal(4, q, eps, family, 1 if family == "O1" else -1)
     if k == 5:
-        return _orthogonal(4, q, rational_legendre(2 * c * d + d * d, q), "O1", 1, True)
+        return _orthogonal(4, q, rational_legendre(2 * c * d + d * d, q), "O1", 1)
     m = q % 60
     if m in (19, 31):
-        return _orthogonal(4, q, 1, "O", -1, True)
+        return _orthogonal(4, q, 1, "O", -1)
     if m in (29, 41):
-        return _orthogonal(4, q, -1, "O", -1, True)
+        return _orthogonal(4, q, -1, "O", -1)
     if m in (1, 49):
-        return _orthogonal(4, q, 1, "O1", 1, True)
-    return _orthogonal(4, q, -1, "O1", 1, True)
+        return _orthogonal(4, q, 1, "O1", 1)
+    return _orthogonal(4, q, -1, "O1", 1)
 
 
 @dataclass(frozen=True)

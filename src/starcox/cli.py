@@ -111,29 +111,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _classification_json(k, prime_text: str, p, c) -> dict:
-    return {
-        "k": "inf" if k == K_INF else k,
-        "prime": prime_text,
-        "class": p.klass.value,
-        "q": p.q,
-        "epsilon": c.epsilon,
-        "delta": c.delta,
-        "smooth": c.smooth,
-        "classification": c.display,
-        "order": c.predicted_order,
-    }
-
-
 def cmd_classify(args) -> int:
     k = _parse_k(args.k)
     p = _prime(args.prime)
-    c = classify_rank4(StarParams(k, p, args.scale))
+    params = StarParams(k, p, args.scale)
+    c = classify_rank4(params)
+    smooth = reduced_generators(params)[2].smooth
     if args.format == "json":
-        print(json.dumps(_classification_json(k, args.prime, p, c)))
+        print(json.dumps({
+            "k": k,
+            "prime": args.prime,
+            "class": p.klass.value,
+            "q": p.q,
+            "epsilon": c.epsilon,
+            "delta": c.delta,
+            "smooth": smooth,
+            "classification": c.display,
+            "order": c.predicted_order,
+        }))
         return EXIT_OK
     print(f"prime {p.value}  class {p.klass.value}  q {p.q}")
-    print(f"epsilon {c.epsilon}  delta {c.delta}  smooth {str(c.smooth).lower()}")
+    print(f"epsilon {c.epsilon}  delta {c.delta}  smooth {str(smooth).lower()}")
     print(f"{c.display}, order {c.predicted_order}")
     return EXIT_OK
 
@@ -190,7 +188,7 @@ def _survey_row(k: int, p, cap: int, fails: dict) -> dict:
         t = table3_lookup(params)
         if (t.family, t.label, t.predicted_order) != (c.family, c.label, c.predicted_order):
             fails["pathDisagreements"] += 1
-    ctx, gens, _ = reduced_generators(params)
+    ctx, gens, rep = reduced_generators(params)
     verified: int | str
     if c.predicted_order <= cap:
         n = enumerate_group(ctx, gens, cap=cap).order
@@ -216,7 +214,7 @@ def _survey_row(k: int, p, cap: int, fails: dict) -> dict:
         "order": c.predicted_order,
         "verified": verified,
         "cgroup": cgroup,
-        "smooth": c.smooth,
+        "smooth": rep.smooth,
     }
 
 

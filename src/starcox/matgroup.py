@@ -17,6 +17,8 @@ after the one whose residue was last added.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .field import FieldCtx
@@ -56,18 +58,7 @@ def mat_mul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def mat_vec(ctx: FieldCtx, m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply to column vectors; m is (..., 4, 4), v is (..., 4)."""
-    if ctx.degree == 1:
-        return np.einsum("...ij,...j->...i", m, v) % ctx.q
-    r = ctx.char
-    xm, ym = m // r, m % r
-    xv, yv = v // r, v % r
-    x = (np.einsum("...ij,...j->...i", xm, xv) + np.einsum("...ij,...j->...i", ym, yv)) % r
-    y = (
-        np.einsum("...ij,...j->...i", xm, yv)
-        + np.einsum("...ij,...j->...i", ym, xv)
-        + np.einsum("...ij,...j->...i", ym, yv)
-    ) % r
-    return x * r + y
+    return mat_mul(ctx, m, v[..., None])[..., 0]
 
 
 def mat_inv(ctx: FieldCtx, m: np.ndarray) -> np.ndarray:
@@ -137,14 +128,22 @@ def _pairwise(ctx: FieldCtx, f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 class GroupHandle:
-    """A finite matrix group: enumerated when it holds sorted keys, else a BSGS chain."""
+    """A finite matrix group: enumerated when it holds the sorted keys of its
+    elements, else a BSGS chain; the order is the number of keys, or the
+    product of the chain's orbit sizes."""
 
-    def __init__(self, ctx: FieldCtx, gens: np.ndarray):
+    def __init__(
+        self,
+        ctx: FieldCtx,
+        gens: np.ndarray,
+        keys: np.ndarray | None = None,
+        chain: list[_Level] | None = None,
+    ):
         self.ctx = ctx
         self.gens = gens
-        self.order: int = 0
-        self._sorted_keys: np.ndarray | None = None
-        self._chain: list[_Level] | None = None
+        self._sorted_keys = keys
+        self._chain = chain
+        self.order = len(keys) if keys is not None else math.prod(len(lvl.keys) for lvl in chain)
 
     def _enumerated_keys(self) -> np.ndarray:
         if self._sorted_keys is None:
@@ -188,7 +187,7 @@ class GroupHandle:
             small, big = big, small
         elems = small.elements
         inside = big.contains_batch(elems)
-        return _from_keys(self.ctx, elems[inside], small._sorted_keys[inside])
+        return GroupHandle(self.ctx, elems[inside], small._sorted_keys[inside])
 
     def same_group(self, other: GroupHandle) -> bool:
         return (
@@ -196,13 +195,6 @@ class GroupHandle:
             and all(other.contains(g) for g in self.gens)
             and all(self.contains(g) for g in other.gens)
         )
-
-
-def _from_keys(ctx: FieldCtx, gens: np.ndarray, sorted_keys: np.ndarray) -> GroupHandle:
-    h = GroupHandle(ctx, gens)
-    h._sorted_keys = sorted_keys
-    h.order = len(sorted_keys)
-    return h
 
 
 def enumerate_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
@@ -221,7 +213,7 @@ def enumerate_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
             raise OverCapError(f"closure exceeds cap {cap}")
         sorted_keys = np.insert(sorted_keys, np.searchsorted(sorted_keys, fresh), fresh)
         frontier = _decode(ctx, fresh)
-    return _from_keys(ctx, gens, sorted_keys)
+    return GroupHandle(ctx, gens, sorted_keys)
 
 
 class _Level:
@@ -366,9 +358,4 @@ def bsgs_group(ctx: FieldCtx, gens) -> GroupHandle:
         for l in range(i + 1, j + 1):
             unsifted.pop(l, None)
         i = j
-    h = GroupHandle(ctx, np.stack(gens) if gens else ident[None])
-    h._chain = chain
-    h.order = 1
-    for lvl in chain:
-        h.order *= len(lvl.keys)
-    return h
+    return GroupHandle(ctx, np.stack(gens) if gens else ident[None], chain=chain)

@@ -84,9 +84,6 @@ class GoldenInt:
         """Galois conjugate, sending tau to 1 - tau."""
         return GoldenInt(self.a + self.b, -self.b)
 
-    def is_unit(self) -> bool:
-        return abs(self.norm()) == 1
-
     def inverse(self) -> GoldenInt:
         n = self.norm()
         if abs(n) != 1:

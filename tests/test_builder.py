@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from starcox import builder, classify, cli, matgroup
 from starcox.builder import (
     COXETER_EXPONENTS,
     K_INF,
@@ -19,8 +20,10 @@ from starcox.builder import (
     rho,
     root_norms,
 )
+from starcox.classify import classify_rank4
 from starcox.field import build_field
-from starcox.matgroup import mat_mul
+from starcox.matgroup import DEFAULT_CAP, mat_mul
+from starcox.polytope import face_counts, incidence_report
 from starcox.ring import GoldenInt, PrimeClass, classify_prime, golden_legendre, primes_up_to_norm
 
 TAU = GoldenInt(0, 1)
@@ -150,6 +153,42 @@ def test_smoothness_report(k, prime, smooth):
         assert rep.product_orders[(1, 3)] == 3
     else:
         assert rep.product_orders[(1, 3)] == k
+
+
+def test_reduction_is_built_once_per_params(monkeypatch):
+    built = []
+    monkeypatch.setattr(builder, "build_field", lambda prime: built.append(prime) or build_field(prime))
+
+    def builds(run) -> int:
+        built.clear()
+        run()
+        return len(built)
+
+    sqrt5 = prime_of(-1, 2)
+    fails = {"cgroupFailures": 0, "orderMismatches": 0, "pathDisagreements": 0}
+    assert builds(lambda: cli._survey_row(3, sqrt5, DEFAULT_CAP, fails)) == 1
+    assert not any(fails.values())
+    params = StarParams(k=6, prime=sqrt5)
+    assert builds(lambda: (face_counts(params, 2), incidence_report(params, 2))) == 1
+    assert builds(lambda: classify_rank4(StarParams(k=4, prime=sqrt5))) == 0
+
+    _, gens, _ = reduced_generators(params)
+    assert reduced_generators(params)[1] is gens
+    assert not gens.flags.writeable
+    with pytest.raises(ValueError):
+        gens[0, 0, 0] = 0
+
+
+def test_classification_builds_no_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("classify_rank4 built a matrix")
+
+    for mod in (builder, classify, matgroup):
+        monkeypatch.setattr(mod, "mat_mul", refuse)
+    monkeypatch.setattr(builder, "build_field", refuse)
+    for k in (3, 4, 5, 6):
+        for prime in ((2, 0), (-1, 2), (3, 0), (3, 1)):
+            classify_rank4(StarParams(k=k, prime=prime_of(*prime)))
 
 
 def test_infinite_mark_product_orders():

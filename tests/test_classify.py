@@ -65,11 +65,6 @@ def test_rank4_display_strings():
     assert classify_rank4(params(3, SQRT5)).display == "O1(4,5,-1)"
 
 
-def test_rank4_smooth_flag():
-    assert classify_rank4(params(3, P2)).smooth
-    assert not classify_rank4(params(6, P2)).smooth
-
-
 def test_rank4_scale_two_flips_family_not_epsilon():
     base = classify_rank4(params(3, SQRT5))
     scaled = classify_rank4(params(3, SQRT5, scale=2))

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import starcox
 from starcox import cli
@@ -134,6 +138,74 @@ def test_bad_bounds_exit_without_traceback(argv, env, code):
     assert proc.returncode == code
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# Tokens of the real grammar, bounded so every run stays small (primes of
+# norm <= 11, caps <= 2,000, survey norms <= 5), next to units, composites,
+# unparsable primes, bad k values, non-positive caps and out-of-range norms.
+_VALUES = {
+    "--k": ["3", "4", "5", "6", "inf", "all", "7", "0", "-3", "x", ""],
+    "--prime": ["2", "-1+2t", "3", "3+1t", "-1+3t", "t", "1", "-1", "4", "6", "2+2t", "0",
+                "abc", "3+", "+t"],
+    "--cap": ["-5", "0", "1", "50", "2000", "x"],
+    "--scale": ["1", "2", "3", "x"],
+    "--ring": ["0", "2", "1", "x"],
+    "--format": ["text", "json", "xml"],
+    "--max-norm": ["3", "4", "5", "201"],
+}
+# per command: the flags always given, then the flags given or not; survey's
+# --max-norm is always given, since the default norm 61 makes a run slow
+_FLAGS = {
+    "classify": (["--k", "--prime"], ["--scale", "--format"]),
+    "verify": (["--k", "--prime"], ["--cap", "--format"]),
+    "polytope": (["--k", "--prime", "--ring"], ["--cap", "--format"]),
+    "survey": (["--max-norm"], ["--k", "--cap"]),
+}
+
+
+def _command(cmd: str):
+    required, optional = _FLAGS[cmd]
+    opts = [st.sampled_from(_VALUES[f]).map(lambda v, f=f: [f, v]) for f in required]
+    opts += [st.one_of(st.just([]), st.sampled_from(_VALUES[f]).map(lambda v, f=f: [f, v]))
+             for f in optional]
+    return st.tuples(st.just([cmd]), *opts).map(lambda parts: [t for part in parts for t in part])
+
+
+_GRAMMAR = st.sampled_from(sorted(_FLAGS)).flatmap(_command)
+# garbage never names survey, whose default norm would make a run slow
+_GARBAGE = st.lists(
+    st.sampled_from(["classify", "verify", "polytope", "-", "--", *_VALUES, *_VALUES["--k"],
+                     *_VALUES["--prime"], *_VALUES["--cap"]]),
+    max_size=7,
+)
+_ENV_CAP = st.sampled_from([None, "", "0", "-1", "abc", "1.5", "50", "2000"])
+
+
+def _exit_code(argv: list[str], env_cap: str | None):
+    """main's return code, or argparse's SystemExit code, with STARCOX_CAP
+    unset (None) or set; any other exception escapes."""
+    with pytest.MonkeyPatch.context() as mp:
+        if env_cap is None:
+            mp.delenv("STARCOX_CAP", raising=False)
+        else:
+            mp.setenv("STARCOX_CAP", env_cap)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                return main(argv)
+            except SystemExit as e:
+                return e.code
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_GRAMMAR, env_cap=_ENV_CAP)
+def test_cli_fuzz_grammar_exits_with_a_documented_code(argv, env_cap):
+    assert _exit_code(argv, env_cap) in range(5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_GARBAGE, env_cap=_ENV_CAP)
+def test_cli_fuzz_garbage_exits_with_a_documented_code(argv, env_cap):
+    assert _exit_code(argv, env_cap) in range(5)
 
 
 def test_missing_argument_exits_2(capsys):

@@ -1,4 +1,5 @@
-"""Every module of the library and of the tests uses each name it imports."""
+"""Every module of the library and of the tests uses each name it imports,
+and every definition in the library is referenced somewhere."""
 
 from __future__ import annotations
 
@@ -31,3 +32,33 @@ def test_no_unused_imports():
         for name, line in unused_imports(ast.parse(p.read_text(encoding="utf-8")))
     ]
     assert unused == []
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names read, attributes taken and names imported."""
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            names.update(a.name for a in n.names)
+    return names
+
+
+def test_no_unreferenced_definitions():
+    library = sorted((ROOT / "src" / "starcox").rglob("*.py"))
+    defined = {
+        (node.name, f"{p.relative_to(ROOT)}:{node.lineno}")
+        for p in library
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+    referenced = set()
+    for d in ("src", "tests", "bench"):
+        for p in sorted((ROOT / d).rglob("*.py")):
+            referenced |= referenced_names(ast.parse(p.read_text(encoding="utf-8")))
+    assert len(defined) > 50
+    assert sorted(f"{where} {name}" for name, where in defined if name not in referenced) == []
