@@ -110,7 +110,7 @@ def verify_cgroup(
         return IntersectionReport((False,) * 3, (False,) * 3, bad, note, {})
 
     groups = {
-        omit: bsgs_group(ctx, gens[kept(omit)]) if omit == "2"
+        omit: bsgs_group(ctx, gens[kept(omit)], cap=cap) if omit == "2"
         else enumerate_group(ctx, gens[kept(omit)], cap=cap)
         for omit in _SUBGROUPS
     }

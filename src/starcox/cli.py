@@ -12,6 +12,7 @@ from contextlib import nullcontext
 from .builder import K_INF, StarParams, reduced_generators
 from .cgroup import CHECK_NAMES, verify_cgroup
 from .classify import classify_rank4, table3_lookup
+from .field import Q_LIMIT
 from .matgroup import DEFAULT_CAP, OverCapError, bsgs_group, enumerate_group
 from .polytope import face_counts
 from .ring import (
@@ -72,6 +73,8 @@ def _prime(text: str):
     z = parse_golden(text)
     if not z:
         raise InputError("0 is neither a unit nor a prime")
+    if abs(z.norm()) >= Q_LIMIT:
+        raise InputError(f"|N({z})| = {abs(z.norm())} is too large: fields need q < 2^30")
     return classify_prime(z)
 
 
@@ -194,7 +197,7 @@ def _survey_row(k: int, p, cap: int, fails: dict) -> dict:
         n = enumerate_group(ctx, gens, cap=cap).order
         verified = n
     elif p.q <= BSGS_MAX_Q:
-        n = bsgs_group(ctx, gens).order
+        n = bsgs_group(ctx, gens, cap=cap).order
         verified = "bsgs"
     else:
         n, verified = c.predicted_order, "skipped"
@@ -227,19 +230,25 @@ def cmd_survey(args) -> int:
         raise UsageError(f"--max-norm must lie in {MIN_SURVEY_NORM}..{MAX_SURVEY_NORM}")
     cap = _cap(args)
     fails = {"cgroupFailures": 0, "orderMismatches": 0, "pathDisagreements": 0}
-    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
-        # each row is written and flushed as soon as it is made, so an
-        # interrupted survey keeps every finished row
-        def emit(row: dict) -> None:
-            fh.write(json.dumps(row) + "\n")
-            fh.flush()
+    try:
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+            # each row is written and flushed as soon as it is made, so an
+            # interrupted survey keeps every finished row
+            def emit(row: dict) -> None:
+                fh.write(json.dumps(row) + "\n")
+                fh.flush()
 
-        rows = 0
-        for kk in ks:
-            for p in primes_up_to_norm(args.max_norm):
-                emit(_survey_row(kk, p, cap, fails))
-                rows += 1
-        emit({"summary": {"rows": rows, **fails}})
+            rows = 0
+            for kk in ks:
+                for p in primes_up_to_norm(args.max_norm):
+                    emit(_survey_row(kk, p, cap, fails))
+                    rows += 1
+            emit({"summary": {"rows": rows, **fails}})
+    except OSError as e:
+        # rows are pure computation, so an OSError comes from the output file
+        if not args.out:
+            raise
+        raise UsageError(f"cannot write --out {args.out}: {e.strerror or e}") from None
     return EXIT_OK if not any(fails.values()) else EXIT_VERIFY
 
 

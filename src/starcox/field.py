@@ -3,9 +3,14 @@ reduction homomorphism."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .ring import EvenPrimeError, GoldenInt, GoldenPrime, PrimeClass
+
+# Every field has q < Q_LIMIT, so each intermediate of a 4x4 code-matrix
+# product stays below 2^63: 4(q-1)^2 at degree 1, 12(r-1)^2 at degree 2.
+Q_LIMIT = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -59,13 +64,15 @@ class FieldCtx:
     def sub(self, u: int, v: int) -> int:
         return self.add(u, self.neg(v))
 
-    def mul(self, u: int, v: int) -> int:
+    def mul(self, u, v, op=operator.mul):
+        """The product of codes; with op=np.matmul, of stacks of code matrices."""
         if self.degree == 1:
-            return (u * v) % self.q
+            return op(u, v) % self.q
         r = self.char
         x1, y1 = divmod(u, r)
         x2, y2 = divmod(v, r)
-        return ((x1 * x2 + y1 * y2) % r) * r + (x1 * y2 + y1 * x2 + y1 * y2) % r
+        yy = op(y1, y2)
+        return ((op(x1, x2) + yy) % r) * r + (op(x1, y2) + op(y1, x2) + yy) % r
 
     def inv(self, u: int) -> int:
         if u == 0:
@@ -99,7 +106,9 @@ class FieldCtx:
 
 
 def build_field(p: GoldenPrime) -> FieldCtx:
-    """Construct Z[tau]/(p) for any prime class."""
+    """Construct Z[tau]/(p) for any prime class with q < Q_LIMIT."""
+    if p.q >= Q_LIMIT:
+        raise ValueError(f"q = {p.q} is too large: fields need q < 2^30")
     if p.klass is PrimeClass.EVEN:
         return FieldCtx(2, 2, 4, 1)
     if p.klass is PrimeClass.CLASS_I:

@@ -24,8 +24,7 @@ import numpy as np
 from .field import FieldCtx
 
 DEFAULT_CAP = 2_500_000
-_CHUNK = 1 << 21
-_SIFT_ROWS = 1 << 13
+BATCH = 1 << 13  # matrices per batched kernel call, to bound memory
 
 
 class OverCapError(RuntimeError):
@@ -46,14 +45,7 @@ def is_identity(ctx: FieldCtx, m: np.ndarray) -> bool:
 
 def mat_mul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over F_q; broadcasts over leading batch dimensions."""
-    if ctx.degree == 1:
-        return (a @ b) % ctx.q
-    r = ctx.char
-    xa, ya = a // r, a % r
-    xb, yb = b // r, b % r
-    x = (xa @ xb + ya @ yb) % r
-    y = (xa @ yb + ya @ xb + ya @ yb) % r
-    return x * r + y
+    return ctx.mul(a, b, np.matmul)
 
 
 def mat_vec(ctx: FieldCtx, m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -169,15 +161,15 @@ class GroupHandle:
         """Vectorized membership for a stack of matrices. On a chain a matrix
         is a member when its residue is the identity: one whose image leaves
         an orbit keeps a residue that moves that level's base point. Matrices
-        are sifted _SIFT_ROWS at a time, to bound memory."""
+        are sifted BATCH at a time."""
         if self._sorted_keys is not None:
             return _find(self._sorted_keys, _keys(self.ctx, mats)) >= 0
         assert self._chain is not None
         ident = identity(self.ctx)
         out = np.empty(len(mats), dtype=bool)
-        for i in range(0, len(mats), _SIFT_ROWS):
-            res, _ = _sift(self.ctx, self._chain, 0, mats[i : i + _SIFT_ROWS])
-            out[i : i + _SIFT_ROWS] = (res == ident).all(axis=(1, 2))
+        for i in range(0, len(mats), BATCH):
+            res, _ = _sift(self.ctx, self._chain, 0, mats[i : i + BATCH])
+            out[i : i + BATCH] = (res == ident).all(axis=(1, 2))
         return out
 
     def intersect(self, other: GroupHandle) -> GroupHandle:
@@ -202,7 +194,7 @@ def enumerate_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
     gens = _dedup(ctx, np.asarray(gens, dtype=np.int64).reshape(-1, 4, 4))
     frontier = identity(ctx)[None]
     sorted_keys = _keys(ctx, frontier)
-    step = max(1, _CHUNK // max(1, len(gens)))
+    step = max(1, BATCH // max(1, len(gens)))
     while len(frontier):
         cand = np.unique(np.concatenate([
             _keys(ctx, _pairwise(ctx, frontier[i : i + step], gens))
@@ -238,11 +230,11 @@ def _moved_basis_vector(ctx: FieldCtx, m: np.ndarray) -> np.ndarray:
     return basis[int(np.argmax(moved))]
 
 
-def _build_orbit(ctx: FieldCtx, lvl: _Level) -> None:
+def _build_orbit(ctx: FieldCtx, lvl: _Level, cap: int) -> None:
     """Breadth-first orbit of the base point, one layer for all generators at
-    once. Each layer's transversal rows are appended in layer order, and only
-    the keys and the row numbers are kept sorted; the rows are put in key
-    order once, at the end."""
+    once, raising OverCapError past cap points. Each layer's transversal rows
+    are appended in layer order, and only the keys and the row numbers are
+    kept sorted; the rows are put in key order once, at the end."""
     gens, ginvs = np.stack(lvl.gens), np.stack(lvl.gen_invs)
     vecs = lvl.point[None]
     keys = _keys(ctx, vecs, 4)
@@ -254,6 +246,8 @@ def _build_orbit(ctx: FieldCtx, lvl: _Level) -> None:
         cand, first = np.unique(_keys(ctx, imgs, 4), return_index=True)
         fresh = _find(keys, cand) < 0
         cand, first = cand[fresh], first[fresh]
+        if len(keys) + len(cand) > cap:
+            raise OverCapError(f"orbit exceeds cap {cap}")
         g, f = np.divmod(first, len(vecs))
         vecs = imgs[first]
         t = mat_mul(ctx, gens[g], t[f])
@@ -290,9 +284,10 @@ def _schreier_generators(ctx: FieldCtx, lvl: _Level) -> np.ndarray:
     """The sorted keys of the distinct Schreier generators t(g p)^-1 g t(p) of a level."""
     keys = []
     for g in lvl.gens:
-        prods = mat_mul(ctx, g, lvl.t)
-        pos = _find(lvl.keys, _keys(ctx, mat_vec(ctx, prods, lvl.point), 4))
-        keys.append(_keys(ctx, mat_mul(ctx, lvl.t_inv[pos], prods)))
+        for i in range(0, len(lvl.t), BATCH):
+            prods = mat_mul(ctx, g, lvl.t[i : i + BATCH])
+            pos = _find(lvl.keys, _keys(ctx, mat_vec(ctx, prods, lvl.point), 4))
+            keys.append(_keys(ctx, mat_mul(ctx, lvl.t_inv[pos], prods)))
     return np.unique(np.concatenate(keys))
 
 
@@ -307,11 +302,12 @@ def _add_generator(ctx: FieldCtx, chain: list[_Level], m: np.ndarray, levels: ra
         chain[l].gen_invs.append(minv)
 
 
-def bsgs_group(ctx: FieldCtx, gens) -> GroupHandle:
+def bsgs_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
     """Deterministic Schreier-Sims on the action on column vectors of F_q^4.
 
     Base points are standard basis vectors chosen greedily; the stabilizer of
-    all four is trivial, so the chain has at most four levels.
+    all four is trivial, so the chain has at most four levels. An orbit of
+    more than cap points raises OverCapError.
 
     Levels are completed from the last one up. A level's Schreier generators
     are formed once per orbit build, deduplicated and sifted through the
@@ -345,7 +341,7 @@ def bsgs_group(ctx: FieldCtx, gens) -> GroupHandle:
     i = len(chain) - 1
     while i >= 0:
         if i not in unsifted:
-            _build_orbit(ctx, chain[i])
+            _build_orbit(ctx, chain[i], cap)
             unsifted[i] = _schreier_generators(ctx, chain[i])
         res, stop = _sift(ctx, chain, i + 1, _decode(ctx, unsifted[i]))
         moved = np.flatnonzero((res != ident).any(axis=(1, 2)))

@@ -15,9 +15,7 @@ import numpy as np
 
 from .builder import StarParams, kept, reduced_generators
 from .classify import classify_rank4
-from .matgroup import DEFAULT_CAP, enumerate_group, mat_mul
-
-_CHUNK = 1 << 16
+from .matgroup import BATCH, DEFAULT_CAP, enumerate_group, mat_mul
 
 # The face stabilizers of each ringing, named by the generators they omit
 # (builder.kept), in the order of PolytopeStats' counts.
@@ -138,11 +136,11 @@ def _face_labels(params: StarParams, ringed_node: int, cap: int) -> tuple[np.nda
     group = enumerate_group(ctx, gens, cap=cap)
     elements = group.elements
     # for each generator g, the permutation of element positions made by left
-    # multiplication by g, a chunk of elements at a time to bound memory
+    # multiplication by g, BATCH elements at a time
     perms = [
         np.concatenate([
-            group.index(mat_mul(ctx, g, elements[i : i + _CHUNK]))
-            for i in range(0, len(elements), _CHUNK)
+            group.index(mat_mul(ctx, g, elements[i : i + BATCH]))
+            for i in range(0, len(elements), BATCH)
         ])
         for g in gens
     ]

@@ -13,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["chain", "cgroup", "polytope"])
+@pytest.mark.parametrize("workload", ["bfs-wide", "chain", "cgroup", "polytope"])
 def test_traced_bench_run_covers_its_layers(workload):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,

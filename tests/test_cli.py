@@ -106,6 +106,21 @@ def test_overcap_exits_4(capsys):
     assert "error:" in err
 
 
+def test_chain_orbit_honors_cap(capsys):
+    # q = 1009: G2's chain has orbits far larger than the cap
+    rc, _, err = run(capsys, "verify", "--k", "4", "--prime", "8+37t", "--cap", "1000")
+    assert rc == 4
+    assert "error:" in err
+
+
+def test_field_too_large_exits_3(capsys):
+    # q = 3,037,000,579 >= 2^30: int64 products would overflow
+    for cmd in ("classify", "verify"):
+        rc, _, err = run(capsys, cmd, "--k", "3", "--prime", "23787+73084t")
+        assert rc == 3
+        assert "error:" in err
+
+
 def test_env_cap_is_honored(capsys, monkeypatch):
     monkeypatch.setenv("STARCOX_CAP", "50")
     assert run(capsys, "verify", "--k", "3", "--prime", "3+1t")[0] == 4
@@ -123,8 +138,11 @@ SRC = str(Path(starcox.__file__).resolve().parent.parent)
         (("survey", "--max-norm", "3"), {}, 2),
         (("verify", "--k", "3", "--prime", "0"), {}, 3),
         (("polytope", "--k", "3", "--prime", "2", "--ring", "2", "--cap", "1"), {}, 4),
+        (("survey", "--max-norm", "4", "--out", "/nonexistent-dir/x.jsonl"), {}, 2),
+        (("survey", "--max-norm", "4", "--out", "."), {}, 2),
     ],
-    ids=["env-cap-abc", "cap-0", "cap-negative", "survey-norm-3", "prime-0", "polytope-cap-1"],
+    ids=["env-cap-abc", "cap-0", "cap-negative", "survey-norm-3", "prime-0", "polytope-cap-1",
+         "survey-out-missing-dir", "survey-out-dir"],
 )
 def test_bad_bounds_exit_without_traceback(argv, env, code):
     base = {k: v for k, v in os.environ.items() if k != "STARCOX_CAP"}

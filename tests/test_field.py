@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from starcox.field import build_field
+from starcox.field import Q_LIMIT, build_field
 from starcox.ring import (
     EvenPrimeError,
     GoldenInt,
@@ -125,3 +125,11 @@ def test_tau_code_arithmetic():
     assert ctx.add(ctx.neg(t), t) == 0
     assert ctx.pow_(t, 8) == one
     assert ctx.decode(t) == (0, 1)
+
+
+def test_build_field_bound():
+    # inert 32717 and split 32759+18t lie below 2^30; inert 32783 lies above
+    assert ctx_of(32717, 0).q == 32717**2 < Q_LIMIT
+    assert ctx_of(32759, 18).q == 1_073_741_419 < Q_LIMIT
+    with pytest.raises(ValueError):
+        ctx_of(32783, 0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,15 @@ def slow_mat_mul(ctx, a, b):
 def test_mat_mul_matches_scalar_reference():
     for ctx in (ctx_of(-1, 2), ctx_of(3, 0), ctx_of(3, 1), ctx_of(2, 0)):
         for a, b in zip(random_mats(ctx, 8), random_mats(ctx, 8)):
+            assert np.array_equal(mat_mul(ctx, a, b), slow_mat_mul(ctx, a, b))
+
+
+def test_mat_mul_exact_at_the_largest_fields():
+    # q = 1,073,741,419 (degree 1) and 32717^2 (degree 2) lie just below
+    # Q_LIMIT; all-(q-1) entries give the largest int64 intermediates
+    for ctx in (ctx_of(32759, 18), ctx_of(32717, 0)):
+        top = np.full((4, 4), ctx.q - 1, dtype=np.int64)
+        for a, b in [(top, top), *zip(random_mats(ctx, 4), random_mats(ctx, 4))]:
             assert np.array_equal(mat_mul(ctx, a, b), slow_mat_mul(ctx, a, b))
 
 
@@ -137,6 +148,19 @@ def test_enumerate_respects_cap():
     ctx, gens = gens_of(3, -1, 2)
     with pytest.raises(OverCapError):
         enumerate_group(ctx, gens, cap=100)
+
+
+def test_enumerate_memory_is_bounded_by_batch():
+    # 518,400 elements, whose sorted keys take 7.9 MB; the products of a BFS
+    # layer are formed BATCH at a time, not all at once
+    ctx, gens = gens_of(5, 3, 0)
+    tracemalloc.start()
+    try:
+        assert enumerate_group(ctx, gens).order == 518_400
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 def test_enumerate_deduplicates_generators():
@@ -228,6 +252,14 @@ def test_bsgs_chain_shape(k, prime, base, orbits, strong):
         assert np.array_equal(np.sort(lvl.keys), lvl.keys)
         assert np.array_equal(_keys(ctx, mat_vec(ctx, lvl.t, lvl.point), 4), lvl.keys)
         assert (mat_mul(ctx, lvl.t_inv, lvl.t) == identity(ctx)).all()
+
+
+def test_bsgs_respects_cap():
+    # the largest orbit of this chain has 6,840 points
+    ctx, gens = gens_of(3, -4, -1)
+    assert bsgs_group(ctx, gens, cap=6840).order == bsgs_group(ctx, gens).order
+    with pytest.raises(OverCapError):
+        bsgs_group(ctx, gens, cap=6839)
 
 
 def test_bsgs_forms_schreier_generators_once_per_orbit_build(monkeypatch):
