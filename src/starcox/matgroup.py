@@ -2,9 +2,11 @@
 enumeration, deterministic Schreier-Sims, membership, and intersection.
 
 Matrices are numpy arrays of packed field codes (see field.FieldCtx). Batch
-kernels stay in int64. One key scheme serves everything: a key is a
-void-dtype view of a compact copy of a whole matrix or vector, and a set is
-a sorted key array searched by ``_find``. An enumerated group is stored
+kernels stay in int64. One key scheme serves everything: a key holds a whole
+matrix or vector, as one unsigned integer where it fits a machine word and
+as a void-dtype view of its compact entries where it does not (``_keys``). A
+set is a sorted key array, deduplicated by sorting and comparing neighbours
+(``sorted_unique``) and searched by ``_find``. An enumerated group is stored
 once, as the sorted keys of its elements, so the keys serve BFS
 deduplication, membership, intersection and element positions alike, and
 ``elements`` decodes them on access. A Schreier-Sims level stores its orbit
@@ -93,16 +95,44 @@ def _compact_dtype(ctx: FieldCtx) -> np.dtype:
     return np.dtype(np.uint32)
 
 
+# a key of 4 or 8 bytes is held as one integer; a wider one stays void
+_WORDS = {4: np.dtype(np.uint32), 8: np.dtype(np.uint64)}
+# codes below 16 fit in four bits, so up to this q a matrix key packs two
+# entries to a byte: 8 bytes, one uint64
+_NIBBLE_Q = 16
+
+
 def _keys(ctx: FieldCtx, arrs: np.ndarray, width: int = 16) -> np.ndarray:
-    """Void-dtype keys of a stack of matrices (width 16) or vectors (width 4);
-    a key holds its whole matrix or vector."""
+    """Keys of a stack of matrices (width 16) or vectors (width 4); a key
+    holds its whole matrix or vector. A key that fits a machine word is an
+    unsigned integer: a matrix at q <= 16 is a uint64 base-16 code, two
+    entries to a byte, and a vector is its compact entries viewed as uint32
+    (q <= 255) or uint64 (q <= 65,535). A wider key is a void-dtype view of
+    the compact entries."""
     compact = np.ascontiguousarray(arrs.reshape(-1, width).astype(_compact_dtype(ctx)))
-    return compact.view(f"V{compact.dtype.itemsize * width}").ravel()
+    if width == 16 and ctx.q <= _NIBBLE_Q:
+        compact = compact[:, 0::2] | compact[:, 1::2] << 4
+    nbytes = compact.shape[1] * compact.itemsize
+    return compact.view(_WORDS.get(nbytes, f"V{nbytes}")).ravel()
 
 
 def _decode(ctx: FieldCtx, keys: np.ndarray) -> np.ndarray:
     """The int64 matrices held by keys, in key order."""
+    if ctx.q <= _NIBBLE_Q:
+        packed = keys.view(np.uint8).reshape(-1, 8)
+        return np.stack([packed & 0xF, packed >> 4], axis=-1).reshape(-1, 4, 4).astype(np.int64)
     return keys.view(_compact_dtype(ctx)).reshape(-1, 4, 4).astype(np.int64)
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-D array, sorted. Unlike ``np.unique``,
+    which puts an integer array through a hash table, this sorts and
+    compares neighbours, which is faster on keys."""
+    keys = np.sort(keys)
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -112,7 +142,7 @@ def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def _dedup(ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:
-    return _decode(ctx, np.unique(_keys(ctx, mats)))
+    return _decode(ctx, sorted_unique(_keys(ctx, mats)))
 
 
 def _pairwise(ctx: FieldCtx, f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -196,7 +226,7 @@ def enumerate_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
     sorted_keys = _keys(ctx, frontier)
     step = max(1, BATCH // max(1, len(gens)))
     while len(frontier):
-        cand = np.unique(np.concatenate([
+        cand = sorted_unique(np.concatenate([
             _keys(ctx, _pairwise(ctx, frontier[i : i + step], gens))
             for i in range(0, len(frontier), step)
         ]))
@@ -233,14 +263,16 @@ def _moved_basis_vector(ctx: FieldCtx, m: np.ndarray) -> np.ndarray:
 def _build_orbit(ctx: FieldCtx, lvl: _Level, cap: int) -> None:
     """Breadth-first orbit of the base point, one layer for all generators at
     once, raising OverCapError past cap points. Each layer's transversal rows
-    are appended in layer order, and only the keys and the row numbers are
-    kept sorted; the rows are put in key order once, at the end."""
+    are appended in layer order, in the compact dtype, and only the keys and
+    the row numbers are kept sorted; the rows are put in key order and
+    widened to int64 once, at the end."""
+    compact = _compact_dtype(ctx)
     gens, ginvs = np.stack(lvl.gens), np.stack(lvl.gen_invs)
     vecs = lvl.point[None]
     keys = _keys(ctx, vecs, 4)
     rows = np.zeros(1, dtype=np.intp)  # rows[i]: layer-order row of keys[i]
     t = t_inv = identity(ctx)[None]
-    ts, t_invs = [t], [t_inv]
+    ts, t_invs = [t.astype(compact)], [t_inv.astype(compact)]
     while len(vecs):
         imgs = mat_vec(ctx, gens[:, None], vecs[None]).reshape(-1, 4)
         cand, first = np.unique(_keys(ctx, imgs, 4), return_index=True)
@@ -255,11 +287,11 @@ def _build_orbit(ctx: FieldCtx, lvl: _Level, cap: int) -> None:
         pos = np.searchsorted(keys, cand)
         keys = np.insert(keys, pos, cand)
         rows = np.insert(rows, pos, np.arange(len(rows), len(rows) + len(cand)))
-        ts.append(t)
-        t_invs.append(t_inv)
+        ts.append(t.astype(compact))
+        t_invs.append(t_inv.astype(compact))
     lvl.keys = keys
-    lvl.t = np.concatenate(ts)[rows]
-    lvl.t_inv = np.concatenate(t_invs)[rows]
+    lvl.t = np.concatenate(ts)[rows].astype(np.int64)
+    lvl.t_inv = np.concatenate(t_invs)[rows].astype(np.int64)
 
 
 def _sift(ctx: FieldCtx, chain: list[_Level], start: int, mats: np.ndarray):
@@ -288,7 +320,7 @@ def _schreier_generators(ctx: FieldCtx, lvl: _Level) -> np.ndarray:
             prods = mat_mul(ctx, g, lvl.t[i : i + BATCH])
             pos = _find(lvl.keys, _keys(ctx, mat_vec(ctx, prods, lvl.point), 4))
             keys.append(_keys(ctx, mat_mul(ctx, lvl.t_inv[pos], prods)))
-    return np.unique(np.concatenate(keys))
+    return sorted_unique(np.concatenate(keys))
 
 
 def _add_generator(ctx: FieldCtx, chain: list[_Level], m: np.ndarray, levels: range) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .builder import StarParams, kept, reduced_generators
 from .classify import classify_rank4
-from .matgroup import BATCH, DEFAULT_CAP, enumerate_group, mat_mul
+from .matgroup import BATCH, DEFAULT_CAP, enumerate_group, mat_mul, sorted_unique
 
 # The face stabilizers of each ringing, named by the generators they omit
 # (builder.kept), in the order of PolytopeStats' counts.
@@ -156,7 +156,7 @@ def _distinct_counts(group_by: np.ndarray, values: np.ndarray) -> np.ndarray:
     """For each distinct label in group_by, in sorted order, the number of
     distinct values beside it; labels and values are element positions."""
     n = len(group_by)
-    pairs = np.unique(group_by * n + values)
+    pairs = sorted_unique(group_by * n + values)
     return np.unique(pairs // n, return_counts=True)[1]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from starcox.field import build_field
 from starcox.matgroup import (
     OverCapError,
     SingularMatrixError,
+    _decode,
     _keys,
     bsgs_group,
     element_order,
@@ -22,6 +24,7 @@ from starcox.matgroup import (
     mat_inv,
     mat_mul,
     mat_vec,
+    sorted_unique,
 )
 from starcox.ring import GoldenInt, classify_prime
 
@@ -113,6 +116,68 @@ def test_element_order_basics():
         assert element_order(ctx, r) == 2
     r0r1 = mat_mul(ctx, gens[0], gens[1])
     assert element_order(ctx, r0r1) == 5
+
+
+# ---------------------------------------------------------------------------
+# keys
+
+# one prime of each field size the key tests use
+PRIMES = {4: (2, 0), 5: (-1, 2), 9: (3, 0), 11: (3, 1), 19: (-4, -1), 61: (-7, -3), 269: (-15, -4)}
+
+
+def test_key_dtype_per_field():
+    # a key that fits a machine word is an integer; a wider one stays void
+    for q, (a, b) in PRIMES.items():
+        ctx = ctx_of(a, b)
+        assert ctx.q == q
+        mat_keys = _keys(ctx, random_mats(ctx, 3))
+        if q <= 16:
+            assert mat_keys.dtype == np.uint64
+        else:
+            assert mat_keys.dtype.kind == "V"
+    for q, dtype in ((61, np.uint32), (269, np.uint64)):
+        ctx = ctx_of(*PRIMES[q])
+        assert _keys(ctx, random_mats(ctx, 3)[:, 0], 4).dtype == dtype
+
+
+def test_decode_inverts_integer_keys():
+    for q in (4, 5, 9, 11):
+        ctx = ctx_of(*PRIMES[q])
+        mats = np.concatenate([random_mats(ctx, 50), np.full((1, 4, 4), q - 1, dtype=np.int64)])
+        decoded = _decode(ctx, _keys(ctx, mats))
+        assert decoded.dtype == np.int64
+        assert np.array_equal(decoded, mats)
+
+
+def test_sorted_unique_matches_np_unique():
+    # uint32 vector keys at q = 61, uint64 ones at q = 269, void matrix keys
+    # at q = 61; entries below 3 make repeated keys
+    for q, width in ((61, 4), (269, 4), (61, 16)):
+        ctx = ctx_of(*PRIMES[q])
+        keys = _keys(ctx, RNG.integers(0, 3, size=(600, width), dtype=np.int64), width)
+        keys = np.concatenate([keys, keys[::3]])
+        assert len(np.unique(keys)) < len(keys)
+        assert np.array_equal(sorted_unique(keys), np.unique(keys))
+        assert len(sorted_unique(keys[:0])) == 0
+
+
+@pytest.mark.parametrize(
+    "k,prime,subset,order,digest",
+    [
+        (4, (3, 1), [0, 1, 3], 2640, "130a81ae478d2709192d36d747eaf10bb3d7dca1adf30796624b812bae3040c0"),
+        (6, (3, 0), [0, 1, 2, 3], 174_960, "59f4e12e1fe6c7f5c5a3fbc17dd43843083eda6a238bd92972717e833fe1d890"),
+    ],
+)
+def test_enumerated_element_set_is_pinned(k, prime, subset, order, digest):
+    # key order sets the order of ``elements``, so the set is pinned as a
+    # digest of its lexsorted elements, which no choice of key dtype changes
+    ctx, gens = gens_of(k, *prime)
+    group = enumerate_group(ctx, gens[subset])
+    assert group.order == order
+    elems = group.elements.reshape(-1, 16)
+    elems = elems[np.lexsort(elems.T[::-1])]
+    assert hashlib.sha256(elems.tobytes()).hexdigest() == digest
+    assert np.array_equal(group.index(group.elements), np.arange(order))
 
 
 # ---------------------------------------------------------------------------
