@@ -33,7 +33,6 @@ EXIT_OVERCAP = 4
 
 MIN_SURVEY_NORM = 4
 MAX_SURVEY_NORM = 200
-BSGS_MAX_Q = 64
 
 
 class UsageError(Exception):
@@ -158,6 +157,8 @@ def cmd_verify(args) -> int:
             "orders": rep.subgroup_orders,
             "cgroup": rep.is_cgroup,
         }
+        if rep.witness is not None:
+            out["witness"] = rep.witness.tolist()
         if rep.witness_note:
             out["witnessNote"] = rep.witness_note
         print(json.dumps(out))
@@ -167,6 +168,8 @@ def cmd_verify(args) -> int:
             print(f"{name} {str(ok).lower()}")
         if rep.subgroup_orders:
             print("orders " + " ".join(f"{n}={v}" for n, v in sorted(rep.subgroup_orders.items())))
+        if rep.witness is not None:
+            print("witness " + " / ".join(" ".join(map(str, row)) for row in rep.witness.tolist()))
         if rep.witness_note:
             print(f"witness: {rep.witness_note}")
         print(f"cgroup {str(rep.is_cgroup).lower()}")
@@ -196,11 +199,9 @@ def _survey_row(k: int, p, cap: int, fails: dict) -> dict:
     if c.predicted_order <= cap:
         n = enumerate_group(ctx, gens, cap=cap).order
         verified = n
-    elif p.q <= BSGS_MAX_Q:
+    else:
         n = bsgs_group(ctx, gens, cap=cap).order
         verified = "bsgs"
-    else:
-        n, verified = c.predicted_order, "skipped"
     if n != c.predicted_order:
         fails["orderMismatches"] += 1
     if not verify_cgroup(params, cap=cap).is_cgroup:

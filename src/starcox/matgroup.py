@@ -9,12 +9,16 @@ set is a sorted key array, deduplicated by sorting and comparing neighbours
 (``sorted_unique``) and searched by ``_find``. An enumerated group is stored
 once, as the sorted keys of its elements, so the keys serve BFS
 deduplication, membership, intersection and element positions alike, and
-``elements`` decodes them on access. A Schreier-Sims level stores its orbit
-as the sorted keys of the orbit vectors, with the transversal as stacked
-arrays in the same order; one batched sift serves membership and the
-Schreier generators alike. Schreier-Sims is incremental: a level's Schreier
-generators are formed once per orbit build, and a revisit sifts only those
-after the one whose residue was last added.
+``elements`` decodes them on access. A Schreier-Sims level acts on vectors
+or on lines, a line keyed by its vector scaled so that its first nonzero
+entry is one, and stores its orbit as the sorted keys of its points, with
+the transversal as stacked arrays in the same order; one batched sift serves
+membership and the Schreier generators alike. The chain's base opens with
+isotropic lines of the symmetric form that the generators preserve, derived
+from the generators themselves, where there is a single nondegenerate one.
+Schreier-Sims is incremental: a level's Schreier generators are formed once
+per orbit build, and a revisit sifts only those after the one whose residue
+was last added.
 """
 
 from __future__ import annotations
@@ -55,25 +59,32 @@ def mat_vec(ctx: FieldCtx, m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return mat_mul(ctx, m, v[..., None])[..., 0]
 
 
+def _row_reduce(ctx: FieldCtx, rows: np.ndarray, ncols: int) -> tuple[np.ndarray, list[int]]:
+    """Gauss-Jordan elimination over F_q on the first ncols columns of a
+    stack of rows: the reduced row echelon form and its pivot columns."""
+    rows = np.array(rows, dtype=np.int64)
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        nonzero = np.flatnonzero(rows[r:, col])
+        if not len(nonzero):
+            continue
+        piv = r + int(nonzero[0])
+        rows[[r, piv]] = rows[[piv, r]]
+        rows[r] = ctx.mul(ctx.inv(int(rows[r, col])), rows[r])
+        factors = rows[:, col].copy()
+        factors[r] = 0
+        rows = ctx.sub(rows, ctx.mul(factors[:, None], rows[r]))
+        pivots.append(col)
+    return rows, pivots
+
+
 def mat_inv(ctx: FieldCtx, m: np.ndarray) -> np.ndarray:
     """Gauss-Jordan inverse of a single 4x4 matrix."""
-    a = [[int(x) for x in row] for row in m]
-    b = [[int(x) for x in row] for row in identity(ctx)]
-    for col in range(4):
-        piv = next((r for r in range(col, 4) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular over F_q")
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = ctx.inv(a[col][col])
-        a[col] = [ctx.mul(inv, x) for x in a[col]]
-        b[col] = [ctx.mul(inv, x) for x in b[col]]
-        for r in range(4):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(a[r], a[col])]
-                b[r] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(b[r], b[col])]
-    return np.array(b, dtype=np.int64)
+    rows, pivots = _row_reduce(ctx, np.concatenate([m, identity(ctx)], axis=1), 4)
+    if len(pivots) < 4:
+        raise SingularMatrixError("matrix is singular over F_q")
+    return rows[:, 4:]
 
 
 def element_order(ctx: FieldCtx, m: np.ndarray, cap: int = 10_000) -> int:
@@ -238,26 +249,148 @@ def enumerate_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
     return GroupHandle(ctx, gens, sorted_keys)
 
 
+def _invariant_form(ctx: FieldCtx, gens: np.ndarray) -> np.ndarray | None:
+    """The symmetric form B with g^T B g = B for every generator, found by
+    solving for the ten entries of B on and above the diagonal. None unless
+    those forms make a one-dimensional space whose B is nondegenerate."""
+    iu, ju = np.triu_indices(4)
+    n = len(iu)  # the unknowns: entry (iu[u], ju[u]) of B
+    basis = np.zeros((n, 4, 4), dtype=np.int64)
+    basis[np.arange(n), iu, ju] = basis[np.arange(n), ju, iu] = ctx.one
+    # the equation of generator g and entry (a, b), a <= b, has coefficient
+    # (g^T E_u g - E_u)[a, b] at unknown u, E_u the form with B_u = 1
+    image = mat_mul(ctx, mat_mul(ctx, np.swapaxes(gens, 1, 2)[:, None], basis), gens[:, None])
+    coeffs = ctx.sub(image, basis)[..., iu, ju]  # (generator, unknown, equation)
+    rows, pivots = _row_reduce(ctx, coeffs.transpose(0, 2, 1).reshape(-1, n), n)
+    if len(pivots) != n - 1:
+        return None
+    (free,) = set(range(n)) - set(pivots)
+    entries = np.zeros(n, dtype=np.int64)
+    entries[free] = ctx.one
+    entries[pivots] = ctx.neg(rows[: len(pivots), free])
+    form = np.zeros((4, 4), dtype=np.int64)
+    form[iu, ju] = form[ju, iu] = entries
+    return form if len(_row_reduce(ctx, form, 4)[1]) == 4 else None
+
+
+def _sqrt(ctx: FieldCtx, a: int) -> int | None:
+    """A square root of a in F_q, q odd, by Tonelli-Shanks; None for a non-square."""
+    if a == 0:
+        return 0
+    if not ctx.is_square(a):
+        return None
+    odd, s = ctx.q - 1, 0
+    while odd % 2 == 0:
+        odd, s = odd // 2, s + 1
+    # from one up: at degree 2 the codes below one are the multiples of theta,
+    # which can all be squares
+    z = next(z for z in range(ctx.one, ctx.q) if not ctx.is_square(z))
+    c, t, r = ctx.pow_(z, odd), ctx.pow_(a, odd), ctx.pow_(a, (odd + 1) // 2)
+    while t != ctx.one:
+        i, t2 = 0, t
+        while t2 != ctx.one:
+            i, t2 = i + 1, ctx.mul(t2, t2)
+        b = ctx.pow_(c, 1 << (s - i - 1))
+        s, c = i, ctx.mul(b, b)
+        t, r = ctx.mul(t, c), ctx.mul(r, b)
+    return r
+
+
+def _lines(ctx: FieldCtx, vecs: np.ndarray) -> np.ndarray:
+    """Each vector scaled so that its first nonzero entry is one; a zero vector stays zero."""
+    lead = np.take_along_axis(vecs, np.argmax(vecs != 0, axis=-1)[..., None], axis=-1)
+    return ctx.mul(vecs, ctx.pow_(lead, ctx.q - 2))
+
+
+def _isotropic_pair(ctx: FieldCtx, form: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two isotropic points l1, l2 of a nondegenerate symmetric form B over
+    F_q, q odd, with B(l1, l2) != 0, each scaled so that its first nonzero
+    entry is one.
+
+    l1: Gram-Schmidt on the standard basis yields orthogonal f1, f2, f3 with
+    d_i = B(f_i, f_i) != 0, unless it meets an isotropic vector first, which
+    is then l1. Else l1 = x f1 + y f2 + f3 for the first code x for which
+    y^2 = -(d1 x^2 + d3) / d2 has a root y, taken by one square root: the
+    conic d1 x^2 + d2 y^2 + d3 = 0 has at least q - 1 points, so about half
+    of all x have one. l2 = w - B(w, w) / (2 B(l1, w)) l1 for the first
+    basis vector w with B(l1, w) != 0.
+    """
+
+    def bil(x, y):
+        return int(ctx.mul(x, mat_vec(ctx, form, y), np.matmul))
+
+    def over(u, v):
+        return ctx.mul(u, ctx.inv(v))
+
+    def isotropic_vector() -> np.ndarray:
+        frame, diag = list(identity(ctx)), []  # frame spans the complement of the f_i
+        while True:
+            norms = [bil(w, w) for w in frame]
+            if 0 in norms:
+                return frame[norms.index(0)]
+            if len(diag) == 2:
+                break
+            f = frame.pop(0)
+            diag.append((f, norms[0]))
+            frame = [ctx.sub(w, ctx.mul(over(bil(w, f), norms[0]), f)) for w in frame]
+        (f1, d1), (f2, d2), f3, d3 = *diag, frame[0], norms[0]
+        for x in range(ctx.q):
+            y = _sqrt(ctx, ctx.neg(over(ctx.add(ctx.mul(d1, ctx.mul(x, x)), d3), d2)))
+            if y is not None:
+                return ctx.add(ctx.add(ctx.mul(x, f1), ctx.mul(y, f2)), f3)
+        raise AssertionError("a nondegenerate ternary form over F_q is isotropic")
+
+    l1 = isotropic_vector()
+    bl1 = [int(x) for x in mat_vec(ctx, form, l1)]
+    j = next(j for j, x in enumerate(bl1) if x)
+    l2 = ctx.sub(identity(ctx)[j], ctx.mul(over(int(form[j, j]), ctx.add(bl1[j], bl1[j])), l1))
+    return _lines(ctx, l1), _lines(ctx, l2)
+
+
 class _Level:
-    """One stabilizer level: a base point, the generators that fix every earlier
-    base point, and the orbit of the point. The orbit is the sorted array of
-    the keys of its vectors; ``t`` and ``t_inv`` are stacked arrays in key
-    order, so ``t[i]`` maps the point to the vector of ``keys[i]``. ``keys``,
-    ``t`` and ``t_inv`` are set by ``_build_orbit``."""
+    """One stabilizer level: a base point with its action, the generators that
+    fix every earlier base point, and the orbit of the point. A vector level
+    acts on the point as a vector; a line level acts on the line it spans,
+    each line keyed by its vector scaled so that its first nonzero entry is
+    one (``_point_keys``). The orbit is the sorted array of those keys; ``t``
+    and ``t_inv`` are stacked arrays in key order, so ``t[i]`` maps the point
+    to a vector of key ``keys[i]``. ``keys``, ``t`` and ``t_inv`` are set by
+    ``_build_orbit``."""
 
-    __slots__ = ("point", "gens", "gen_invs", "keys", "t", "t_inv")
+    __slots__ = ("point", "line", "gens", "gen_invs", "keys", "t", "t_inv")
 
-    def __init__(self, point: np.ndarray):
+    def __init__(self, point: np.ndarray, line: bool):
         self.point = point
+        self.line = line
         self.gens: list[np.ndarray] = []
         self.gen_invs: list[np.ndarray] = []
 
 
-def _moved_basis_vector(ctx: FieldCtx, m: np.ndarray) -> np.ndarray:
-    basis = identity(ctx)
-    moved = (mat_vec(ctx, m, basis) != basis).any(axis=1)
-    assert moved.any(), "the identity moves no basis vector"
-    return basis[int(np.argmax(moved))]
+def _point_keys(ctx: FieldCtx, line: bool, vecs: np.ndarray) -> np.ndarray:
+    """Keys of a stack of vectors acted on as vectors, or as the lines they span."""
+    return _keys(ctx, _lines(ctx, vecs) if line else vecs, 4)
+
+
+def _moves(ctx: FieldCtx, point: np.ndarray, line: bool, m: np.ndarray) -> bool:
+    """Does m move the point (or its line)?"""
+    keys = _point_keys(ctx, line, np.stack([point, mat_vec(ctx, m, point)]))
+    return bool(keys[0] != keys[1])
+
+
+def _base_candidates(ctx: FieldCtx, gens: np.ndarray) -> list[tuple[np.ndarray, bool]]:
+    """The base points a chain draws from, in order: when the generators
+    preserve a single nondegenerate symmetric form, up to scalars, over a
+    field of odd order, two
+    isotropic points l1 and l2 with B(l1, l2) != 0 give l1 as a line, l2 as a
+    line and l1 as a vector; the standard basis vectors always follow, so
+    that only the identity fixes every candidate. Each is a pair (point, line)."""
+    basis = [(e, False) for e in identity(ctx)]
+    # the isotropic search divides by 2
+    form = _invariant_form(ctx, gens) if ctx.q % 2 else None
+    if form is None:
+        return basis
+    l1, l2 = _isotropic_pair(ctx, form)
+    return [(l1, True), (l2, True), (l1, False), *basis]
 
 
 def _build_orbit(ctx: FieldCtx, lvl: _Level, cap: int) -> None:
@@ -269,13 +402,13 @@ def _build_orbit(ctx: FieldCtx, lvl: _Level, cap: int) -> None:
     compact = _compact_dtype(ctx)
     gens, ginvs = np.stack(lvl.gens), np.stack(lvl.gen_invs)
     vecs = lvl.point[None]
-    keys = _keys(ctx, vecs, 4)
+    keys = _point_keys(ctx, lvl.line, vecs)
     rows = np.zeros(1, dtype=np.intp)  # rows[i]: layer-order row of keys[i]
     t = t_inv = identity(ctx)[None]
     ts, t_invs = [t.astype(compact)], [t_inv.astype(compact)]
     while len(vecs):
         imgs = mat_vec(ctx, gens[:, None], vecs[None]).reshape(-1, 4)
-        cand, first = np.unique(_keys(ctx, imgs, 4), return_index=True)
+        cand, first = np.unique(_point_keys(ctx, lvl.line, imgs), return_index=True)
         fresh = _find(keys, cand) < 0
         cand, first = cand[fresh], first[fresh]
         if len(keys) + len(cand) > cap:
@@ -303,7 +436,7 @@ def _sift(ctx: FieldCtx, chain: list[_Level], start: int, mats: np.ndarray):
     live = np.arange(len(work))
     for l in range(start, len(chain)):
         lvl = chain[l]
-        pos = _find(lvl.keys, _keys(ctx, mat_vec(ctx, work, lvl.point), 4))
+        pos = _find(lvl.keys, _point_keys(ctx, lvl.line, mat_vec(ctx, work, lvl.point)))
         out = pos < 0
         stop[live[out]] = l
         res[live[out]] = work[out]
@@ -318,28 +451,53 @@ def _schreier_generators(ctx: FieldCtx, lvl: _Level) -> np.ndarray:
     for g in lvl.gens:
         for i in range(0, len(lvl.t), BATCH):
             prods = mat_mul(ctx, g, lvl.t[i : i + BATCH])
-            pos = _find(lvl.keys, _keys(ctx, mat_vec(ctx, prods, lvl.point), 4))
+            pos = _find(lvl.keys, _point_keys(ctx, lvl.line, mat_vec(ctx, prods, lvl.point)))
             keys.append(_keys(ctx, mat_mul(ctx, lvl.t_inv[pos], prods)))
     return sorted_unique(np.concatenate(keys))
 
 
-def _add_generator(ctx: FieldCtx, chain: list[_Level], m: np.ndarray, levels: range) -> None:
-    """Add m and its inverse to the given levels, extending the base by a basis
-    vector that m moves when the levels run past the end of the chain."""
-    if levels.stop > len(chain):
-        chain.append(_Level(_moved_basis_vector(ctx, m)))
+def _add_generator(
+    ctx: FieldCtx,
+    chain: list[_Level],
+    m: np.ndarray,
+    levels: range,
+    candidates: list[tuple[np.ndarray, bool]],
+) -> int:
+    """Add m and its inverse to the given levels and return the last of them.
+    Levels that run past the end of the chain are appended: there m fixes
+    every base point, and as the base is a prefix of the candidates, the
+    next candidates join it in order, up to the first one that m moves."""
+    while levels.stop > len(chain):
+        chain.append(_Level(*candidates[len(chain)]))
+        if _moves(ctx, chain[-1].point, chain[-1].line, m):
+            break
+        levels = range(levels.start, levels.stop + 1)
     minv = mat_inv(ctx, m)
     for l in levels:
         chain[l].gens.append(m)
         chain[l].gen_invs.append(minv)
+    return levels.stop - 1
 
 
 def bsgs_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
-    """Deterministic Schreier-Sims on the action on column vectors of F_q^4.
+    """Deterministic Schreier-Sims on the action of the group on vectors and
+    lines of F_q^4.
 
-    Base points are standard basis vectors chosen greedily; the stabilizer of
-    all four is trivial, so the chain has at most four levels. An orbit of
-    more than cap points raises OverCapError.
+    The base is drawn from one fixed sequence of candidate points
+    (``_base_candidates``). When the generators preserve a single
+    nondegenerate symmetric form B, up to scalars, as the reduced groups do,
+    the sequence opens with two isotropic points l1 and l2, B(l1, l2) != 0:
+    l1 as a line, l2 as a line, then l1 as a vector (Murray and O'Brien,
+    "Selecting base points for the Schreier-Sims algorithm for matrix
+    groups", J. Symbolic Comput. 19 (1995)). An orthogonal group's orbit on
+    isotropic lines has about q^2 points, against about q^3 for its orbit on
+    vectors. The standard basis vectors always follow; a group with no such
+    form, or with several, is based on them alone. The base is always a
+    prefix of the sequence: a generator that fixes every base point appends
+    the next candidates, up to the first one that it moves, and joins each
+    of the new levels (so a level can keep an orbit of one point). An orbit
+    of more than cap points raises OverCapError. The base only decides which
+    Schreier generators are sifted, so the order is exact whatever the base.
 
     Levels are completed from the last one up. A level's Schreier generators
     are formed once per orbit build, deduplicated and sifted through the
@@ -357,14 +515,15 @@ def bsgs_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
     """
     gens = [g for g in _dedup(ctx, np.asarray(gens, dtype=np.int64).reshape(-1, 4, 4))
             if not is_identity(ctx, g)]
+    candidates = _base_candidates(ctx, np.stack(gens)) if gens else []
     chain: list[_Level] = []
     for g in gens:
         # g belongs to every level up to the first base point it moves
         moved = next(
-            (l for l, lvl in enumerate(chain) if not np.array_equal(mat_vec(ctx, g, lvl.point), lvl.point)),
+            (l for l, lvl in enumerate(chain) if _moves(ctx, lvl.point, lvl.line, g)),
             len(chain),
         )
-        _add_generator(ctx, chain, g, range(moved + 1))
+        _add_generator(ctx, chain, g, range(moved + 1), candidates)
 
     ident = identity(ctx)
     # unsifted[l]: the sorted keys of level l's Schreier generators that are
@@ -382,7 +541,7 @@ def bsgs_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
             continue
         first, j = int(moved[0]), int(stop[moved[0]])
         unsifted[i] = unsifted[i][first + 1 :]
-        _add_generator(ctx, chain, res[first], range(i + 1, j + 1))
+        j = _add_generator(ctx, chain, res[first], range(i + 1, j + 1), candidates)
         for l in range(i + 1, j + 1):
             unsifted.pop(l, None)
         i = j

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -240,6 +242,28 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     rc, out, _ = run(capsys, "verify", "--k", "3", "--prime", "2")
     assert rc == 1
     assert "cgroup false" in out
+    assert not any(line.startswith("witness") for line in out.splitlines())
+    rc, out, _ = run(capsys, "verify", "--k", "3", "--prime", "2", "--format", "json")
+    assert rc == 1
+    assert "witness" not in json.loads(out)
+
+
+def test_verify_prints_the_witness(capsys, monkeypatch):
+    witness = np.arange(16, dtype=np.int64).reshape(4, 4)
+    failing = IntersectionReport(
+        (True, True, True), (True, False, True), witness, "G0 meets G3 away from G03", {"G0": 24}
+    )
+    monkeypatch.setattr(cli, "verify_cgroup", lambda params, cap: failing)
+    rc, out, _ = run(capsys, "verify", "--k", "3", "--prime", "2")
+    assert rc == 1
+    lines = out.splitlines()
+    assert "witness 0 1 2 3 / 4 5 6 7 / 8 9 10 11 / 12 13 14 15" in lines
+    assert "witness: G0 meets G3 away from G03" in lines
+    rc, out, _ = run(capsys, "verify", "--k", "3", "--prime", "2", "--format", "json")
+    assert rc == 1
+    row = json.loads(out)
+    assert row["witness"] == witness.tolist()
+    assert row["witnessNote"] == "G0 meets G3 away from G03"
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +333,17 @@ def test_survey_small_run(tmp_path, capsys):
     assert by_class["ClassI"]["classification"] == "O1(4,5,-1)"
     assert all(r["cgroup"] and r["smooth"] for r in rows)
     assert all(r["k"] == 3 for r in rows)
+
+
+def test_survey_rows_are_pinned(tmp_path, capsys):
+    # the 12 rows (q = 4, 5, 9) and the summary of the survey up to norm 9,
+    # as one digest; a change to any order, classification or check shows here
+    out_path = tmp_path / "rows.jsonl"
+    rc, _, _ = run(capsys, "survey", "--k", "all", "--max-norm", "9", "--out", str(out_path))
+    assert rc == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "5f3609474284fc802b960dbf0339c945d2efc7fe2064e03303ac66b21b0b9065"
+    )
 
 
 def test_survey_deterministic(tmp_path, capsys):

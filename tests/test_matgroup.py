@@ -3,19 +3,27 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from starcox import matgroup
-from starcox.builder import StarParams, reduced_generators
+from starcox.builder import StarParams, kept, reduced_generators
+from starcox.classify import classify_rank4
 from starcox.field import build_field
 from starcox.matgroup import (
     OverCapError,
     SingularMatrixError,
     _decode,
+    _invariant_form,
+    _isotropic_pair,
     _keys,
+    _point_keys,
+    _sqrt,
     bsgs_group,
     element_order,
     enumerate_group,
@@ -297,34 +305,167 @@ def test_uint16_keys_index_and_membership():
     assert not chain.contains(outsider)
 
 
+# the chain's base opens with l1 as a line, l2 as a line and l1 as a vector,
+# then e1..e4 as vectors; the orbit sizes multiply to the group order, pinned
+# as the product of the orbits of the chain on standard basis vectors alone
 @pytest.mark.parametrize(
-    "k,prime,base,orbits,strong",
+    "k,prime,l1,l2,orbits,strong,order",
     [
-        (3, (-4, -1), [1, 0, 3, 2], [6840, 342, 10, 2], [4, 2, 2, 1]),
-        (6, (-1, 4), [1, 2, 3], [6840, 380, 36], [4, 3, 2]),
-        (3, (-5, -1), [1, 0, 3, 2], [24360, 812, 15, 2], [4, 2, 2, 1]),
+        (3, (-4, -1), [1, 6, 10, 0], [0, 1, 8, 0],
+         [400, 361, 18, 1, 9, 1, 2], [4, 3, 5, 3, 3, 1, 1], 6840 * 342 * 10 * 2),
+        (6, (-1, 4), [1, 6, 2, 0], [1, 17, 12, 0],
+         [400, 361, 18, 1, 18, 1, 2], [4, 4, 4, 3, 3, 1, 1], 6840 * 380 * 36),
+        (3, (-5, -1), [1, 14, 25, 0], [1, 12, 25, 0],
+         [900, 841, 28, 14, 1, 1, 2], [4, 5, 6, 3, 1, 1, 1], 24360 * 812 * 15 * 2),
     ],
+    ids=["k3-q19", "k6-q19", "k3-q29"],
 )
-def test_bsgs_chain_shape(k, prime, base, orbits, strong):
+def test_bsgs_chain_shape(k, prime, l1, l2, orbits, strong, order):
     ctx, gens = gens_of(k, *prime)
-    chain = bsgs_group(ctx, gens)._chain
-    basis = identity(ctx)
-    assert [lvl.point.tolist() for lvl in chain] == [basis[b].tolist() for b in base]
+    group = bsgs_group(ctx, gens)
+    chain = group._chain
+    base = [(l1, True), (l2, True), (l1, False)] + [(e, False) for e in identity(ctx).tolist()]
+    assert [(lvl.point.tolist(), lvl.line) for lvl in chain] == base
     assert [len(lvl.keys) for lvl in chain] == orbits
     assert [len(lvl.gens) for lvl in chain] == strong
     assert [len(lvl.t) for lvl in chain] == [len(lvl.t_inv) for lvl in chain] == orbits
+    assert group.order == math.prod(orbits) == order
     for lvl in chain:
         assert np.array_equal(np.sort(lvl.keys), lvl.keys)
-        assert np.array_equal(_keys(ctx, mat_vec(ctx, lvl.t, lvl.point), 4), lvl.keys)
+        assert np.array_equal(_point_keys(ctx, lvl.line, mat_vec(ctx, lvl.t, lvl.point)), lvl.keys)
         assert (mat_mul(ctx, lvl.t_inv, lvl.t) == identity(ctx)).all()
 
 
 def test_bsgs_respects_cap():
-    # the largest orbit of this chain has 6,840 points
+    # the largest orbit of this chain has 400 points (isotropic lines, q = 19)
     ctx, gens = gens_of(3, -4, -1)
-    assert bsgs_group(ctx, gens, cap=6840).order == bsgs_group(ctx, gens).order
+    assert bsgs_group(ctx, gens, cap=400).order == bsgs_group(ctx, gens).order
     with pytest.raises(OverCapError):
-        bsgs_group(ctx, gens, cap=6839)
+        bsgs_group(ctx, gens, cap=399)
+
+
+# ---------------------------------------------------------------------------
+# the invariant form and the isotropic base points
+
+
+def bilinear(ctx, form, x, y):
+    return int(ctx.mul(x, mat_vec(ctx, form, y), np.matmul))
+
+
+# q = 4, 5, 9, 11, 19, 49, 61, 199, and the two fields just below Q_LIMIT
+FORM_PRIMES = [(2, 0), (-1, 2), (3, 0), (3, 1), (-4, -1), (7, 0), (-7, -3), (-13, -3),
+               (32759, 18), (32717, 0)]
+
+
+@pytest.mark.parametrize("prime", FORM_PRIMES)
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_invariant_form_is_preserved(k, prime):
+    ctx, gens = gens_of(k, *prime)
+    form = _invariant_form(ctx, gens)
+    # characteristic 2, the k = 5 row at sqrt5 and the k = 6 row at 3 have
+    # no single nondegenerate invariant form
+    if ctx.char == 2 or (ctx.q, k) in {(5, 5), (9, 6)}:
+        assert form is None
+        return
+    assert np.array_equal(form, form.T)
+    for g in gens:
+        assert np.array_equal(mat_mul(ctx, mat_mul(ctx, g.T, form), g), form)
+    l1, l2 = _isotropic_pair(ctx, form)
+    assert bilinear(ctx, form, l1, l1) == bilinear(ctx, form, l2, l2) == 0
+    assert bilinear(ctx, form, l1, l2) != 0
+    for line in (l1, l2):
+        assert line[np.flatnonzero(line)[0]] == ctx.one
+
+
+@pytest.mark.parametrize("prime", [(2, 0), (7, 2), (8, 1)])
+def test_rank3_subgroup_has_no_single_form(prime):
+    # G2 = <r0, r1, r3> preserves a two-dimensional space of symmetric forms
+    # (q = 4, 59, 71), so its chain stays on standard basis vectors
+    ctx, gens = gens_of(6, *prime)
+    assert _invariant_form(ctx, gens[kept("2")]) is None
+    chain = bsgs_group(ctx, gens[kept("2")])._chain
+    assert not any(lvl.line for lvl in chain)
+
+
+@pytest.mark.parametrize("prime", [(-1, 2), (3, 0), (7, 0), (-7, -3), (32759, 18), (32717, 0)])
+def test_sqrt_squares_back(prime):
+    ctx = ctx_of(*prime)
+    codes = range(ctx.q) if ctx.q < 100 else [0, ctx.one, 2, 3, 5, ctx.q - 1, ctx.q // 3]
+    for a in codes:
+        root = _sqrt(ctx, a)
+        if a and not ctx.is_square(a):
+            assert root is None
+        else:
+            assert ctx.mul(root, root) == a
+
+
+@pytest.mark.parametrize("k,prime", [(3, (7, 0)), (4, (7, 0)), (5, (7, 0)), (6, (7, 0)), (3, (-13, -3))])
+def test_line_chain_order_matches_classification(k, prime):
+    # q = 49 (degree 2) and q = 199: level 0 is the orbit of an isotropic
+    # line, q^2 + 1 points for O^- and (q + 1)^2 for O^+
+    ctx, gens = gens_of(k, *prime)
+    group = bsgs_group(ctx, gens)
+    level0 = group._chain[0]
+    assert level0.line
+    assert len(level0.keys) in (ctx.q**2 + 1, (ctx.q + 1) ** 2)
+    params = StarParams(k, classify_prime(GoldenInt(*prime)))
+    assert group.order == classify_rank4(params).predicted_order
+
+
+def test_largest_fields_reach_the_cap_at_once():
+    # the form solve and the isotropic search cost nothing proportional to q,
+    # so the first orbit build is what meets the cap
+    for prime in ((32759, 18), (32717, 0)):
+        ctx, gens = gens_of(3, *prime)
+        with pytest.raises(OverCapError):
+            bsgs_group(ctx, gens, cap=5000)
+
+
+# rank-3 and smaller subsets at q = 4, 5, 9, 11, 19, 29, 31 (chains on basis
+# vectors), and the whole group at q = 5, which for k = 3, 4, 6 preserves
+# a single form (a chain on isotropic lines)
+PROPERTY_PRIMES = [(2, 0), (-1, 2), (3, 0), (3, 1), (-4, -1), (-5, -1), (5, 2)]
+_SUBSETS = st.one_of(
+    st.tuples(st.sampled_from(PROPERTY_PRIMES), st.sets(st.integers(0, 3), min_size=1, max_size=3)),
+    st.tuples(st.just((-1, 2)), st.just({0, 1, 2, 3})),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    prime_subset=_SUBSETS,
+    k=st.sampled_from([3, 4, 5, 6]),
+    conjugate=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bsgs_agrees_with_enumeration(prime_subset, k, conjugate, seed):
+    # BFS is the chain's independent second path: the same order and the
+    # same membership answers, also after conjugating every generator by a
+    # random invertible matrix, which moves the form and its isotropic points
+    prime, subset = prime_subset
+    ctx, all_gens = gens_of(k, *prime)
+    rng = np.random.default_rng(seed)
+    while conjugate:
+        m = rng.integers(0, ctx.q, size=(4, 4), dtype=np.int64)
+        try:
+            all_gens = mat_mul(ctx, mat_mul(ctx, m, all_gens), mat_inv(ctx, m))
+            break
+        except SingularMatrixError:
+            continue
+    gens = all_gens[sorted(subset)]
+    try:
+        bfs = enumerate_group(ctx, gens, cap=60_000)
+    except OverCapError:
+        assume(False)
+    chain = bsgs_group(ctx, gens)
+    assert chain.order == bfs.order
+    members = bfs.elements[rng.choice(bfs.order, size=min(bfs.order, 24), replace=False)]
+    queries = np.concatenate([
+        members,
+        mat_mul(ctx, members[:, None], all_gens[None]).reshape(-1, 4, 4),
+        rng.integers(0, ctx.q, size=(8, 4, 4), dtype=np.int64),
+    ])
+    assert np.array_equal(chain.contains_batch(queries), bfs.contains_batch(queries))
 
 
 def test_bsgs_forms_schreier_generators_once_per_orbit_build(monkeypatch):
