@@ -9,16 +9,19 @@ set is a sorted key array, deduplicated by sorting and comparing neighbours
 (``sorted_unique``) and searched by ``_find``. An enumerated group is stored
 once, as the sorted keys of its elements, so the keys serve BFS
 deduplication, membership, intersection and element positions alike, and
-``elements`` decodes them on access. A Schreier-Sims level acts on vectors
-or on lines, a line keyed by its vector scaled so that its first nonzero
-entry is one, and stores its orbit as the sorted keys of its points, with
-the transversal as stacked arrays in the same order; one batched sift serves
-membership and the Schreier generators alike. The chain's base opens with
-isotropic lines of the symmetric form that the generators preserve, derived
-from the generators themselves, where there is a single nondegenerate one.
-Schreier-Sims is incremental: a level's Schreier generators are formed once
-per orbit build, and a revisit sifts only those after the one whose residue
-was last added.
+``elements`` decodes them on access. BFS layers and coset permutations take
+the keys of x g for every key x and generator g from ``_successors``: at
+q <= 16 by a table per generator from row codes to row codes, filled lazily
+through ``mat_mul``, so they never decode a matrix, and above q = 16 by
+decoded products. A Schreier-Sims level acts on vectors or on lines, a line
+keyed by its vector scaled so that its first nonzero entry is one, and
+stores its orbit as the sorted keys of its points, with the transversal as
+stacked arrays in the same order; one batched sift serves membership and the
+Schreier generators alike. The chain's base opens with isotropic lines of
+the symmetric form that the generators preserve, derived from the generators
+themselves, where there is a single nondegenerate one. Schreier-Sims is
+incremental: a level's Schreier generators are formed once per orbit build,
+and a revisit sifts only those after the one whose residue was last added.
 """
 
 from __future__ import annotations
@@ -122,16 +125,26 @@ def _keys(ctx: FieldCtx, arrs: np.ndarray, width: int = 16) -> np.ndarray:
     the compact entries."""
     compact = np.ascontiguousarray(arrs.reshape(-1, width).astype(_compact_dtype(ctx)))
     if width == 16 and ctx.q <= _NIBBLE_Q:
-        compact = compact[:, 0::2] | compact[:, 1::2] << 4
+        compact = _pack_nibbles(compact)
     nbytes = compact.shape[1] * compact.itemsize
     return compact.view(_WORDS.get(nbytes, f"V{nbytes}")).ravel()
+
+
+def _pack_nibbles(codes: np.ndarray) -> np.ndarray:
+    """uint8 codes below 16 along the last axis, two to a byte, the first in the low bits."""
+    return codes[..., 0::2] | codes[..., 1::2] << 4
+
+
+def _unpack_nibbles(packed: np.ndarray, width: int) -> np.ndarray:
+    """The int64 codes of nibble-packed keys, width codes to a key."""
+    packed = packed.view(np.uint8)
+    return np.stack([packed & 0xF, packed >> 4], axis=-1).reshape(-1, width).astype(np.int64)
 
 
 def _decode(ctx: FieldCtx, keys: np.ndarray) -> np.ndarray:
     """The int64 matrices held by keys, in key order."""
     if ctx.q <= _NIBBLE_Q:
-        packed = keys.view(np.uint8).reshape(-1, 8)
-        return np.stack([packed & 0xF, packed >> 4], axis=-1).reshape(-1, 4, 4).astype(np.int64)
+        return _unpack_nibbles(keys, 16).reshape(-1, 4, 4)
     return keys.view(_compact_dtype(ctx)).reshape(-1, 4, 4).astype(np.int64)
 
 
@@ -156,8 +169,40 @@ def _dedup(ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:
     return _decode(ctx, sorted_unique(_keys(ctx, mats)))
 
 
-def _pairwise(ctx: FieldCtx, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return mat_mul(ctx, f[:, None], g[None, :]).reshape(-1, 4, 4)
+def _successors(ctx: FieldCtx, gens: np.ndarray):
+    """The map from matrix keys to the keys of x g for every key x and every
+    generator g, shape (len(gens), len(keys)). At q <= 16 a key is four
+    16-bit row codes and row i of x g is (row i of x) g, so one table per
+    generator takes row codes to row codes ("Four Russians"; Albrecht, Bard
+    and Hart, ACM TOMS 37 (2010)); the map fills its tables through
+    ``mat_mul`` with only the rows no earlier call met. Above q = 16 keys
+    are decoded and multiplied BATCH products at a time."""
+    if ctx.q > _NIBBLE_Q:
+        step = max(1, BATCH // max(1, len(gens)))
+
+        def apply(keys: np.ndarray) -> np.ndarray:
+            chunks = [keys[i : i + step] for i in range(0, len(keys), step)]
+            return np.concatenate([
+                _keys(ctx, mat_mul(ctx, _decode(ctx, c), gens[:, None])).reshape(-1, len(c))
+                for c in chunks
+            ], axis=1)
+
+        return apply
+
+    side_by_side = gens.transpose(1, 0, 2).reshape(4, -1)  # row code times every g at once
+    table = np.zeros((len(gens), 1 << 16), dtype=np.uint16)
+    known = np.zeros(1 << 16, dtype=bool)
+
+    def apply(keys: np.ndarray) -> np.ndarray:
+        rows = keys.view(np.uint16)
+        new = sorted_unique(rows[~known[rows]])
+        if len(new):
+            known[new] = True
+            images = mat_mul(ctx, _unpack_nibbles(new, 4), side_by_side)
+            table[:, new] = _pack_nibbles(images.astype(np.uint8)).view(np.uint16).T
+        return np.take(table, rows, axis=1).view(np.uint64)
+
+    return apply
 
 
 class GroupHandle:
@@ -188,12 +233,20 @@ class GroupHandle:
         """Every element as an int64 matrix, in key order; decoded on each access."""
         return _decode(self.ctx, self._enumerated_keys())
 
-    def index(self, mats: np.ndarray) -> np.ndarray:
-        """Positions of the given matrices in ``elements``; ValueError on a non-member."""
-        pos = _find(self._enumerated_keys(), _keys(self.ctx, mats))
+    def _positions(self, keys: np.ndarray) -> np.ndarray:
+        pos = _find(self._enumerated_keys(), keys)
         if (pos < 0).any():
             raise ValueError("matrix is not a group element")
         return pos
+
+    def index(self, mats: np.ndarray) -> np.ndarray:
+        """Positions of the given matrices in ``elements``; ValueError on a non-member."""
+        return self._positions(_keys(self.ctx, mats))
+
+    def right_multiplication(self, gens: np.ndarray) -> np.ndarray:
+        """Positions of x g for every element x and each given member g, shape
+        (len(gens), order); ValueError on a non-member."""
+        return self._positions(_successors(self.ctx, gens)(self._enumerated_keys()))
 
     def contains(self, m: np.ndarray) -> bool:
         return bool(self.contains_batch(m[None])[0])
@@ -233,19 +286,15 @@ class GroupHandle:
 def enumerate_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
     """Breadth-first closure of the generators under multiplication."""
     gens = _dedup(ctx, np.asarray(gens, dtype=np.int64).reshape(-1, 4, 4))
-    frontier = identity(ctx)[None]
-    sorted_keys = _keys(ctx, frontier)
-    step = max(1, BATCH // max(1, len(gens)))
+    times_gens = _successors(ctx, gens)
+    frontier = sorted_keys = _keys(ctx, identity(ctx)[None])
     while len(frontier):
-        cand = sorted_unique(np.concatenate([
-            _keys(ctx, _pairwise(ctx, frontier[i : i + step], gens))
-            for i in range(0, len(frontier), step)
-        ]))
+        cand = sorted_unique(times_gens(frontier).ravel())
         fresh = cand[_find(sorted_keys, cand) < 0]
         if len(sorted_keys) + len(fresh) > cap:
             raise OverCapError(f"closure exceeds cap {cap}")
         sorted_keys = np.insert(sorted_keys, np.searchsorted(sorted_keys, fresh), fresh)
-        frontier = _decode(ctx, fresh)
+        frontier = fresh
     return GroupHandle(ctx, gens, sorted_keys)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .builder import StarParams, kept, reduced_generators
 from .classify import classify_rank4
-from .matgroup import BATCH, DEFAULT_CAP, enumerate_group, mat_mul, sorted_unique
+from .matgroup import DEFAULT_CAP, enumerate_group, mat_mul, sorted_unique
 
 # The face stabilizers of each ringing, named by the generators they omit
 # (builder.kept), in the order of PolytopeStats' counts.
@@ -116,9 +116,14 @@ class IncidenceReport:
 
 
 def _coset_labels(perms: list[np.ndarray]) -> np.ndarray:
-    """Label each element by its right coset of the subgroup generated by the
-    generators whose permutations are given: the least position reachable
-    along them, spread until nothing changes."""
+    """Label each element x by its left coset xH, H the subgroup generated by
+    the generators whose permutations by right multiplication are given: the
+    least position reachable along them, spread until nothing changes.
+
+    The faces are right cosets Hx. Inversion x -> x^-1 maps each right coset
+    Hx onto the left coset x^-1 H and keeps every nonempty intersection, so
+    each multiset that ``_distinct_counts`` takes, and with it edges_ok,
+    vertex_profile and crossfoot_ok, is the same on left cosets."""
     labels = np.arange(len(perms[0]))
     while True:
         new = np.minimum.reduce([labels] + [labels[p] for p in perms])
@@ -134,17 +139,10 @@ def _face_labels(params: StarParams, ringed_node: int, cap: int) -> tuple[np.nda
         raise ValueError("supported ringed nodes are 0 and 2")
     ctx, gens, _ = reduced_generators(params)
     group = enumerate_group(ctx, gens, cap=cap)
-    elements = group.elements
-    # for each generator g, the permutation of element positions made by left
-    # multiplication by g, BATCH elements at a time
-    perms = [
-        np.concatenate([
-            group.index(mat_mul(ctx, g, elements[i : i + BATCH]))
-            for i in range(0, len(elements), BATCH)
-        ])
-        for g in gens
-    ]
-
+    # perms[i] takes x to x r_i, checked through mat_mul at x = r_j
+    perms = group.right_multiplication(gens)
+    at_gens = group.index(mat_mul(ctx, gens[None], gens[:, None])).reshape(len(gens), -1)
+    assert np.array_equal(perms[:, group.index(gens)], at_gens)
     faces = _FACES[ringed_node]
     return tuple(
         _coset_labels([perms[i] for i in kept(faces[face])])

@@ -24,6 +24,7 @@ from starcox.matgroup import (
     _keys,
     _point_keys,
     _sqrt,
+    _successors,
     bsgs_group,
     element_order,
     enumerate_group,
@@ -240,6 +241,66 @@ def test_enumerate_deduplicates_generators():
     ctx, gens = gens_of(4, -1, 2)
     doubled = np.concatenate([gens[[0, 1]], gens[[0, 1]], gens[[0]]])
     assert enumerate_group(ctx, doubled).order == 10
+
+
+def test_enumerate_without_generators_is_trivial():
+    # row tables at q = 11, decoded products at q = 19
+    for q in (11, 19):
+        ctx, gens = gens_of(3, *PRIMES[q])
+        group = enumerate_group(ctx, gens[[]])
+        assert group.order == 1
+        assert is_identity(ctx, group.elements[0])
+
+
+def successor_reference(ctx, keys, gens):
+    return np.stack([_keys(ctx, mat_mul(ctx, _decode(ctx, keys), g)) for g in gens])
+
+
+@pytest.mark.parametrize("q", [4, 5, 9, 11, 19])
+def test_successor_keys_match_products(q, monkeypatch):
+    # row tables at q <= 16, decoded products above; a small BATCH makes the
+    # q = 19 path run in several chunks
+    monkeypatch.setattr(matgroup, "BATCH", 64)
+    for k in (3, 4, 5, 6):
+        ctx, gens = gens_of(k, *PRIMES[q])
+        r0r1 = mat_mul(ctx, gens[0], gens[1])
+        closure = enumerate_group(ctx, np.concatenate([gens[[0, 1, 3]], r0r1[None]]))
+        keys = RNG.permutation(closure._sorted_keys)[:300]
+        keys = np.concatenate([keys, _keys(ctx, np.stack([r0r1, identity(ctx)]))])
+        times_gens = _successors(ctx, gens)
+        # a second call meets rows the first left out, and reuses the rest
+        for part in (keys[:150], keys):
+            got = times_gens(part)
+            assert got.shape == (len(gens), len(part))
+            assert np.array_equal(got, successor_reference(ctx, part, gens))
+
+
+def test_successor_tables_fill_lazily(monkeypatch):
+    # the row tables multiply only the rows the closure meets: the dihedral
+    # <r0, r1> of order 10 at q = 11 has at most 4 * 10 of the q^4 = 14,641
+    ctx, gens = gens_of(4, *PRIMES[11])
+    rows = []
+
+    def counted(ctx, a, b):
+        rows.append(a.reshape(-1, a.shape[-1]).shape[0])
+        return mat_mul(ctx, a, b)
+
+    monkeypatch.setattr(matgroup, "mat_mul", counted)
+    group = enumerate_group(ctx, gens[[0, 1]])
+    assert group.order == 10
+    assert 0 < sum(rows) <= 4 * group.order
+
+
+def test_right_multiplication_permutes_positions():
+    ctx, gens = gens_of(3, *PRIMES[9])
+    group = enumerate_group(ctx, gens[[0, 1, 3]])
+    elems = group.elements
+    perms = group.right_multiplication(gens[[0, 1, 3]])
+    for g, perm in zip(gens[[0, 1, 3]], perms):
+        assert np.array_equal(perm, group.index(mat_mul(ctx, elems, g)))
+        assert np.array_equal(np.sort(perm), np.arange(group.order))
+    with pytest.raises(ValueError):
+        group.right_multiplication(gens[[2]])
 
 
 # ---------------------------------------------------------------------------

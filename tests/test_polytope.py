@@ -14,6 +14,7 @@ from starcox.ring import GoldenInt, classify_prime
 
 SQRT5 = classify_prime(GoldenInt(-1, 2))
 P2 = classify_prime(GoldenInt(2, 0))
+P9 = classify_prime(GoldenInt(-3, 0))
 P11 = classify_prime(GoldenInt(3, 1))
 
 
@@ -85,6 +86,17 @@ def test_ramified_prime_incidence():
     assert rep.edges_ok
     assert rep.crossfoot_ok
     assert rep.vertex_profile == ((4, 4),)
+
+
+@pytest.mark.parametrize("p", [P9, P11], ids=["q9", "q11"])
+@pytest.mark.parametrize("ring,profile", [(0, ((4, 4),)), (2, ((12, 20),))], ids=["ring0", "ring2"])
+def test_incidence_at_row_table_sizes(p, ring, profile):
+    # q = 9 and 11: matrix keys are four 16-bit row codes, and the groups
+    # have 531,360 and 1,742,400 elements
+    rep = incidence_report(params(3, p), ringed_node=ring)
+    assert rep.edges_ok
+    assert rep.crossfoot_ok
+    assert rep.vertex_profile == profile
 
 
 @pytest.mark.parametrize("k,p,ring", [(3, P2, 2), (3, SQRT5, 0)], ids=["p2-ring2", "sqrt5-ring0"])
