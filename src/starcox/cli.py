@@ -14,7 +14,7 @@ from .cgroup import CHECK_NAMES, verify_cgroup
 from .classify import classify_rank4, table3_lookup
 from .field import Q_LIMIT
 from .matgroup import DEFAULT_CAP, OverCapError, bsgs_group, enumerate_group
-from .polytope import face_counts
+from .polytope import face_counts, incidence_report
 from .ring import (
     CompositeError,
     ParseError,
@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--cap", type=int, default=None)
     v.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("polytope", help="face counts of one ringing")
+    p = sub.add_parser("polytope", help="face counts and incidence of one ringing")
     p.add_argument("--k", required=True)
     p.add_argument("--prime", required=True)
     p.add_argument("--ring", type=int, choices=(0, 2), required=True)
@@ -179,11 +179,14 @@ def cmd_verify(args) -> int:
 def cmd_polytope(args) -> int:
     k = _parse_k(args.k)
     p = _prime(args.prime)
-    stats = face_counts(StarParams(k, p), args.ring, cap=_cap(args))
+    params, cap = StarParams(k, p), _cap(args)
+    stats = face_counts(params, args.ring, cap=cap)
+    inc = incidence_report(params, args.ring, cap=cap)
     if args.format == "json":
-        print(json.dumps(stats.to_json()))
+        print(json.dumps({**stats.to_json(), **inc.to_json()}))
     else:
         print(stats.to_text())
+        print(inc.to_text())
     return EXIT_OK
 
 

@@ -9,19 +9,19 @@ set is a sorted key array, deduplicated by sorting and comparing neighbours
 (``sorted_unique``) and searched by ``_find``. An enumerated group is stored
 once, as the sorted keys of its elements, so the keys serve BFS
 deduplication, membership, intersection and element positions alike, and
-``elements`` decodes them on access. BFS layers and coset permutations take
-the keys of x g for every key x and generator g from ``_successors``: at
-q <= 16 by a table per generator from row codes to row codes, filled lazily
-through ``mat_mul``, so they never decode a matrix, and above q = 16 by
-decoded products. A Schreier-Sims level acts on vectors or on lines, a line
-keyed by its vector scaled so that its first nonzero entry is one, and
-stores its orbit as the sorted keys of its points, with the transversal as
-stacked arrays in the same order; one batched sift serves membership and the
-Schreier generators alike. The chain's base opens with isotropic lines of
-the symmetric form that the generators preserve, derived from the generators
-themselves, where there is a single nondegenerate one. Schreier-Sims is
-incremental: a level's Schreier generators are formed once per orbit build,
-and a revisit sifts only those after the one whose residue was last added.
+``elements`` decodes them on access. A BFS layer takes the keys of x g for
+every key x and generator g from ``_successors``: at q <= 16 by a table per
+generator from row codes to row codes, filled lazily through ``mat_mul``, so
+it never decodes a matrix, and above q = 16 by decoded products. A
+Schreier-Sims level acts on vectors or on lines, a line keyed by its vector
+scaled so that its first nonzero entry is one, and stores its orbit as the
+sorted keys of its points, with the transversal as stacked arrays in the
+same order; one batched sift serves membership and the Schreier generators
+alike. The chain's base opens with isotropic lines of the symmetric form
+that the generators preserve, derived from the generators themselves, where
+there is a single nondegenerate one. Schreier-Sims is incremental: a level's
+Schreier generators are formed once per orbit build, and a revisit sifts
+only those after the one whose residue was last added.
 """
 
 from __future__ import annotations
@@ -233,20 +233,12 @@ class GroupHandle:
         """Every element as an int64 matrix, in key order; decoded on each access."""
         return _decode(self.ctx, self._enumerated_keys())
 
-    def _positions(self, keys: np.ndarray) -> np.ndarray:
-        pos = _find(self._enumerated_keys(), keys)
+    def index(self, mats: np.ndarray) -> np.ndarray:
+        """Positions of the given matrices in ``elements``; ValueError on a non-member."""
+        pos = _find(self._enumerated_keys(), _keys(self.ctx, mats))
         if (pos < 0).any():
             raise ValueError("matrix is not a group element")
         return pos
-
-    def index(self, mats: np.ndarray) -> np.ndarray:
-        """Positions of the given matrices in ``elements``; ValueError on a non-member."""
-        return self._positions(_keys(self.ctx, mats))
-
-    def right_multiplication(self, gens: np.ndarray) -> np.ndarray:
-        """Positions of x g for every element x and each given member g, shape
-        (len(gens), order); ValueError on a non-member."""
-        return self._positions(_successors(self.ctx, gens)(self._enumerated_keys()))
 
     def contains(self, m: np.ndarray) -> bool:
         return bool(self.contains_batch(m[None])[0])

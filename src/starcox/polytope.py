@@ -3,7 +3,10 @@ semiregular 4-polytope attached to a reduced star group.
 
 Faces are right cosets of distinguished subgroups; counts are subgroup
 indices, incidence is nonempty coset intersection, and the two cell
-families come from the two unringed outer nodes.
+families come from the two unringed outer nodes. G acts transitively on
+each face family and keeps incidence, so incidence is read at the faces
+through the identity, as indices of intersections of face stabilizers:
+only the stabilizers are enumerated, never the whole group.
 """
 
 from __future__ import annotations
@@ -11,11 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .builder import StarParams, kept, reduced_generators
 from .classify import classify_rank4
-from .matgroup import DEFAULT_CAP, enumerate_group, mat_mul, sorted_unique
+from .matgroup import DEFAULT_CAP, GroupHandle, enumerate_group, mat_mul
 
 # The face stabilizers of each ringing, named by the generators they omit
 # (builder.kept), in the order of PolytopeStats' counts.
@@ -74,6 +75,18 @@ class PolytopeStats:
         return "\n".join(lines)
 
 
+def _stabilizers(
+    params: StarParams, ringed_node: int, cap: int, names: tuple[str, ...] = ()
+) -> dict[str, GroupHandle]:
+    """The face stabilizers of one ringing, enumerated, by face name: those
+    named, else all of them in the order of _FACES."""
+    if ringed_node not in _FACES:
+        raise ValueError("supported ringed nodes are 0 and 2")
+    ctx, gens, _ = reduced_generators(params)
+    faces = _FACES[ringed_node]
+    return {f: enumerate_group(ctx, gens[kept(faces[f])], cap=cap) for f in names or faces}
+
+
 def _index(full_order: int, sub_order: int, what: str) -> int:
     if full_order % sub_order:
         raise ArithmeticError(f"{what} order {sub_order} does not divide {full_order}")
@@ -93,14 +106,11 @@ def face_counts(params: StarParams, ringed_node: int, cap: int = DEFAULT_CAP) ->
     come from enumeration, capped at cap elements, so every count is an
     exact subgroup index.
     """
-    if ringed_node not in _FACES:
-        raise ValueError("supported ringed nodes are 0 and 2")
-    ctx, gens, smooth_rep = reduced_generators(params)
+    orders = {f: group.order for f, group in _stabilizers(params, ringed_node, cap).items()}
     n = classify_rank4(params).predicted_order
-    faces = _FACES[ringed_node]
-    orders = {f: enumerate_group(ctx, gens[kept(omit)], cap=cap).order for f, omit in faces.items()}
     counts = [_index(n, order, f"{f} stabilizer") for f, order in orders.items()]
-    m = smooth_rep.product_orders
+    m = reduced_generators(params)[2].product_orders
+    faces = _FACES[ringed_node]
     sig_p, sig_q = (_signature(orders[c], faces[c], m) for c in ("P-cell", "Q-cell"))
     orbit = "Regular" if sig_p == sig_q else "TwoOrbit"
     return PolytopeStats(ringed_node, *counts, sig_p, sig_q, orbit)
@@ -114,69 +124,54 @@ class IncidenceReport:
     vertex_profile: tuple[tuple[int, int], ...]
     crossfoot_ok: bool
 
+    def to_json(self) -> dict:
+        return {
+            "edgesOk": self.edges_ok,
+            "vertexProfile": [list(pair) for pair in self.vertex_profile],
+            "crossfootOk": self.crossfoot_ok,
+        }
 
-def _coset_labels(perms: list[np.ndarray]) -> np.ndarray:
-    """Label each element x by its left coset xH, H the subgroup generated by
-    the generators whose permutations by right multiplication are given: the
-    least position reachable along them, spread until nothing changes.
-
-    The faces are right cosets Hx. Inversion x -> x^-1 maps each right coset
-    Hx onto the left coset x^-1 H and keeps every nonempty intersection, so
-    each multiset that ``_distinct_counts`` takes, and with it edges_ok,
-    vertex_profile and crossfoot_ok, is the same on left cosets."""
-    labels = np.arange(len(perms[0]))
-    while True:
-        new = np.minimum.reduce([labels] + [labels[p] for p in perms])
-        new = new[new]
-        if np.array_equal(new, labels):
-            return labels
-        labels = new
-
-
-def _face_labels(params: StarParams, ringed_node: int, cap: int) -> tuple[np.ndarray, ...]:
-    """Coset labels of every group element for edges, P-cells, Q-cells and vertices."""
-    if ringed_node not in _FACES:
-        raise ValueError("supported ringed nodes are 0 and 2")
-    ctx, gens, _ = reduced_generators(params)
-    group = enumerate_group(ctx, gens, cap=cap)
-    # perms[i] takes x to x r_i, checked through mat_mul at x = r_j
-    perms = group.right_multiplication(gens)
-    at_gens = group.index(mat_mul(ctx, gens[None], gens[:, None])).reshape(len(gens), -1)
-    assert np.array_equal(perms[:, group.index(gens)], at_gens)
-    faces = _FACES[ringed_node]
-    return tuple(
-        _coset_labels([perms[i] for i in kept(faces[face])])
-        for face in ("edge", "P-cell", "Q-cell", "vertex")
-    )
-
-
-def _distinct_counts(group_by: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """For each distinct label in group_by, in sorted order, the number of
-    distinct values beside it; labels and values are element positions."""
-    n = len(group_by)
-    pairs = sorted_unique(group_by * n + values)
-    return np.unique(pairs // n, return_counts=True)[1]
+    def to_text(self) -> str:
+        profile = ", ".join(f"P {p} Q {q}" for p, q in self.vertex_profile)
+        return (
+            f"  incidence edges ok {str(self.edges_ok).lower()}, vertex profile {profile}, "
+            f"crossfoot ok {str(self.crossfoot_ok).lower()}"
+        )
 
 
 def incidence_report(
     params: StarParams, ringed_node: int, cap: int = DEFAULT_CAP
 ) -> IncidenceReport:
-    """Materialize all cosets and check the alternation of cells around edges.
+    """Incidence at the faces through the identity, read off the face
+    stabilizers E (edge), P and Q (cells) and V (vertex).
 
-    Verifies that every edge meets exactly two cells of each family and
-    that every cell of a family meets the same number of edges
-    (crossfoot_ok), and reports the distinct (P-cells, Q-cells) profiles
-    seen at vertices.
+    G acts transitively on each face family by right multiplication and
+    keeps incidence, so what holds at one face holds at all. The B-faces
+    that meet the A-face Ax are the cosets By with y in BAx, and there are
+    |A : A ∩ B| of them. So edges_ok says |E : E ∩ B| == 2 for B = P and
+    Q, and checks that the generator r of E outside B maps E ∩ B into
+    E but off B: the two B-cells at the base edge are B and B r.
+    vertex_profile is the one pair (|V : V ∩ P|, |V : V ∩ Q|), and
+    crossfoot_ok, that the cells of a family meet equally many edges,
+    holds by transitivity. Only the stabilizers are enumerated, each
+    capped at cap elements; the full group is never built.
     """
-    edge, cell_p, cell_q, vertex = _face_labels(params, ringed_node, cap)
-    edges_ok = bool(
-        (_distinct_counts(edge, cell_p) == 2).all() and (_distinct_counts(edge, cell_q) == 2).all()
-    )
-    profile = set(zip(
-        _distinct_counts(vertex, cell_p).tolist(), _distinct_counts(vertex, cell_q).tolist()
-    ))
+    groups = _stabilizers(params, ringed_node, cap, ("edge", "vertex", "P-cell", "Q-cell"))
+    ctx, gens, _ = reduced_generators(params)
+    faces, edge, vertex = _FACES[ringed_node], groups["edge"], groups["vertex"]
 
-    crossfoot_ok = all(
-        len(np.unique(_distinct_counts(cells, edge))) == 1 for cells in (cell_p, cell_q)
+    def alternates(cell: str) -> bool:
+        meet = edge.intersect(groups[cell])
+        (r,) = set(kept(faces["edge"])) - set(kept(faces[cell]))
+        other = mat_mul(ctx, meet.elements, gens[r])
+        return bool(
+            edge.order == 2 * meet.order
+            and edge.contains_batch(other).all()
+            and not groups[cell].contains_batch(other).any()
+        )
+
+    profile = tuple(
+        _index(vertex.order, vertex.intersect(groups[c]).order, f"vertex and {c} stabilizer intersection")
+        for c in ("P-cell", "Q-cell")
     )
-    return IncidenceReport(edges_ok, tuple(sorted(profile)), crossfoot_ok)
+    return IncidenceReport(alternates("P-cell") and alternates("Q-cell"), (profile,), True)

@@ -304,6 +304,9 @@ def test_polytope_json_golden(capsys):
         "cellsP": 16,
         "cellsQ": 40,
         "orbitClass": "TwoOrbit",
+        "edgesOk": True,
+        "vertexProfile": [[6, 10]],
+        "crossfootOk": True,
     }
 
 
@@ -311,6 +314,7 @@ def test_polytope_text_format(capsys):
     rc, out, _ = run(capsys, "polytope", "--k", "3", "--prime", "2", "--ring", "0", "--format", "text")
     assert rc == 0
     assert "orbit class" in out
+    assert "incidence edges ok true, vertex profile P 4 Q 4, crossfoot ok true" in out
 
 
 # ---------------------------------------------------------------------------

@@ -291,18 +291,6 @@ def test_successor_tables_fill_lazily(monkeypatch):
     assert 0 < sum(rows) <= 4 * group.order
 
 
-def test_right_multiplication_permutes_positions():
-    ctx, gens = gens_of(3, *PRIMES[9])
-    group = enumerate_group(ctx, gens[[0, 1, 3]])
-    elems = group.elements
-    perms = group.right_multiplication(gens[[0, 1, 3]])
-    for g, perm in zip(gens[[0, 1, 3]], perms):
-        assert np.array_equal(perm, group.index(mat_mul(ctx, elems, g)))
-        assert np.array_equal(np.sort(perm), np.arange(group.order))
-    with pytest.raises(ValueError):
-        group.right_multiplication(gens[[2]])
-
-
 # ---------------------------------------------------------------------------
 # BSGS
 

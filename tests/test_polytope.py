@@ -1,15 +1,16 @@
-"""Semiregular polytope tests: coset face counts, signatures, edge alternation."""
+"""Semiregular polytope tests: coset face counts, signatures, edge alternation,
+and incidence against a brute-force coset labelling of the whole group."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from starcox.builder import StarParams
+from starcox.builder import StarParams, kept, reduced_generators
 from starcox.cgroup import distinguished
 from starcox.classify import classify_rank4
-from starcox.matgroup import DEFAULT_CAP, OverCapError
-from starcox.polytope import _face_labels, face_counts, incidence_report
+from starcox.matgroup import DEFAULT_CAP, OverCapError, enumerate_group, mat_mul
+from starcox.polytope import IncidenceReport, face_counts, incidence_report
 from starcox.ring import GoldenInt, classify_prime
 
 SQRT5 = classify_prime(GoldenInt(-1, 2))
@@ -99,17 +100,103 @@ def test_incidence_at_row_table_sizes(p, ring, profile):
     assert rep.vertex_profile == profile
 
 
-@pytest.mark.parametrize("k,p,ring", [(3, P2, 2), (3, SQRT5, 0)], ids=["p2-ring2", "sqrt5-ring0"])
-def test_coset_labels_match_face_counts(k, p, ring):
-    st = face_counts(params(k, p), ring)
-    edge, cell_p, cell_q, vertex = _face_labels(params(k, p), ring, DEFAULT_CAP)
-    distinct = [len(np.unique(labels)) for labels in (edge, cell_p, cell_q, vertex)]
-    assert distinct == [st.edges, st.cells_p, st.cells_q, st.vertices]
+# The face stabilizers of each ringing as the generators they omit, in the
+# order edge, P-cell, Q-cell, vertex: the oracle's own copy of the table.
+ORACLE_FACES = {2: ("1", "3", "0", "2"), 0: ("1", "3", "2", "0")}
+
+
+def _coset_labels(perms: list[np.ndarray]) -> np.ndarray:
+    """Label each element x by its left coset xH, H generated by the
+    elements whose permutations by right multiplication are given: the
+    least position reachable along them, spread until nothing changes."""
+    labels = np.arange(len(perms[0]))
+    while True:
+        new = np.minimum.reduce([labels] + [labels[p] for p in perms])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def _distinct_counts(group_by: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """For each distinct label in group_by, the number of distinct values beside it."""
+    n = len(group_by)
+    return np.unique(np.unique(group_by * n + values) // n, return_counts=True)[1]
+
+
+def oracle(p) -> dict:
+    """Per ringing, the incidence report and the face counts (edges,
+    P-cells, Q-cells, vertices) by brute force: label every element of the
+    whole group by its coset of each face stabilizer, and count at every
+    face the distinct faces beside it. Faces are right cosets Hx; inversion
+    maps them onto the left cosets x^-1 H and keeps every nonempty
+    intersection, so left cosets give the same counts."""
+    ctx, gens, _ = reduced_generators(p)
+    group = enumerate_group(ctx, gens)
+    elems = group.elements
+    step = 1 << 16
+    perms = [
+        np.concatenate([group.index(mat_mul(ctx, elems[i : i + step], g))
+                        for i in range(0, group.order, step)])
+        for g in gens
+    ]
+    for perm in perms:
+        assert np.array_equal(np.sort(perm), np.arange(group.order))
+    out = {}
+    for ring, omits in ORACLE_FACES.items():
+        edge, cell_p, cell_q, vertex = (
+            _coset_labels([perms[i] for i in kept(omit)]) for omit in omits
+        )
+        edges_ok = all((_distinct_counts(edge, cells) == 2).all() for cells in (cell_p, cell_q))
+        profile = set(zip(
+            _distinct_counts(vertex, cell_p).tolist(), _distinct_counts(vertex, cell_q).tolist()
+        ))
+        crossfoot_ok = all(
+            len(np.unique(_distinct_counts(cells, edge))) == 1 for cells in (cell_p, cell_q)
+        )
+        counts = [len(np.unique(labels)) for labels in (edge, cell_p, cell_q, vertex)]
+        out[ring] = IncidenceReport(bool(edges_ok), tuple(sorted(profile)), crossfoot_ok), counts
+    return out
+
+
+ORACLE_CASES = [
+    pytest.param(k, p, id=f"{name}-k{k}")
+    for name, p, ks in (("p2", P2, (3, 4, 5, 6)), ("sqrt5", SQRT5, (3, 4, 5, 6)), ("m3", P9, (3, 6)))
+    for k in ks
+]
+
+
+@pytest.mark.parametrize("k,p", ORACLE_CASES)
+def test_incidence_matches_coset_oracle(k, p):
+    for ring, (report, counts) in oracle(params(k, p)).items():
+        assert incidence_report(params(k, p), ring) == report
+        st = face_counts(params(k, p), ring)
+        assert counts == [st.edges, st.cells_p, st.cells_q, st.vertices]
+
+
+@pytest.mark.parametrize("ring,profile", [(0, (8, 6)), (2, (264, 330))], ids=["ring0", "ring2"])
+def test_incidence_past_the_full_group_cap(ring, profile):
+    # k = 4 at 3+t: the whole group is too large to enumerate, its face
+    # stabilizers are not
+    p = params(4, P11)
+    assert classify_rank4(p).predicted_order > DEFAULT_CAP
+    rep = incidence_report(p, ring)
+    assert rep.edges_ok and rep.crossfoot_ok
+    assert rep.vertex_profile == (profile,)
+    # double count of incident (vertex, cell) pairs
+    st = face_counts(p, ring)
+    _, omit_p, omit_q, omit_v = ORACLE_FACES[ring]
+    vertex = distinguished(p, omit=omit_v)
+    for cells, omit, per_vertex in ((st.cells_p, omit_p, profile[0]), (st.cells_q, omit_q, profile[1])):
+        cell = distinguished(p, omit=omit)
+        assert st.vertices * per_vertex == cells * (cell.order // cell.intersect(vertex).order)
 
 
 def test_incidence_respects_cap():
+    # at q = 11 the largest face stabilizer has 120 elements
     with pytest.raises(OverCapError):
-        incidence_report(params(3, P11), ringed_node=0, cap=1000)
+        incidence_report(params(3, P11), ringed_node=0, cap=119)
+    assert incidence_report(params(3, P11), ringed_node=0, cap=120).vertex_profile == ((4, 4),)
     with pytest.raises(OverCapError):
         face_counts(params(3, P2), ringed_node=2, cap=10)
 
