@@ -81,7 +81,7 @@ def _generator_gate(ctx: FieldCtx, gens: np.ndarray):
     """
     for i in range(4):
         g = gens[i]
-        if is_identity(ctx, g) or not is_identity(ctx, mat_mul(ctx, g, g)):
+        if is_identity(g) or not is_identity(mat_mul(ctx, g, g)):
             return g, f"generator {i} is not an involution"
     for i in range(4):
         for j in range(i + 1, 4):

@@ -249,7 +249,7 @@ def torus_power_check(p: GoldenPrime) -> TorusCheck:
     if order_x != s or order_w != s:
         raise AssertionError(f"torus orders ({order_x}, {order_w}) differ from s={s} at p={p.value}")
     checks = sorted({*range(1, min(s, 8) + 1), s})
-    px, pw = identity(ctx), identity(ctx)
+    px, pw = identity(), identity()
     t = 0
     for tt in checks:
         while t < tt:

@@ -280,7 +280,15 @@ def main(argv=None) -> int:
         "survey": cmd_survey,
     }[args.cmd]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # buffered output meets a closed pipe here
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; what is still buffered goes to
+        # devnull, so the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write the output: the reader closed it", file=sys.stderr)
+        return EXIT_PARSE
     except (UsageError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

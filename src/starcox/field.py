@@ -17,9 +17,10 @@ Q_LIMIT = 1 << 30
 class FieldCtx:
     """F_q as residue pairs x + y*theta mod (char, theta^2 - theta - 1).
 
-    Elements are packed into single integer codes: degree 1 stores x itself,
-    degree 2 stores x*char + y. theta is the image of tau, so tau_code always
-    satisfies t^2 = t + 1.
+    Elements are packed into single integer codes x + y*char, the prime-field
+    digit low: at degree 1 char = q and y = 0, so a code is x itself. Code 1
+    is one at every degree, and the codes below char are the prime field.
+    theta is the image of tau, so tau_code always satisfies t^2 = t + 1.
     """
 
     char: int
@@ -27,68 +28,44 @@ class FieldCtx:
     q: int
     tau_code: int
 
-    @property
-    def one(self) -> int:
-        return self.char if self.degree == 2 else 1
-
-    def encode(self, x: int, y: int = 0) -> int:
-        if self.degree == 1:
-            if y:
-                raise ValueError("degree-1 field has no theta component")
-            return x % self.q
-        return (x % self.char) * self.char + (y % self.char)
-
     def decode(self, code: int) -> tuple[int, int]:
-        if self.degree == 1:
-            return code, 0
-        return divmod(code, self.char)
+        y, x = divmod(code, self.char)
+        return x, y
 
     def reduce(self, z: GoldenInt) -> int:
         """Ring homomorphism Z[tau] -> F_q sending tau to tau_code."""
-        if self.degree == 1:
-            return (z.a + z.b * self.tau_code) % self.q
-        return self.encode(z.a, z.b)
+        return self.add(z.a % self.char, self.mul(z.b % self.char, self.tau_code))
 
     def add(self, u: int, v: int) -> int:
-        if self.degree == 1:
-            return (u + v) % self.q
         r = self.char
-        return ((u // r + v // r) % r) * r + (u % r + v % r) % r
+        return (u % r + v % r) % r + (u // r + v // r) % r * r
 
     def neg(self, u: int) -> int:
-        if self.degree == 1:
-            return -u % self.q
-        r = self.char
-        return (-(u // r) % r) * r + (-(u % r) % r)
+        return self.sub(0, u)
 
     def sub(self, u: int, v: int) -> int:
-        return self.add(u, self.neg(v))
+        r = self.char
+        return (u % r - v % r) % r + (u // r - v // r) % r * r
 
     def mul(self, u, v, op=operator.mul):
         """The product of codes; with op=np.matmul, of stacks of code matrices."""
         if self.degree == 1:
             return op(u, v) % self.q
         r = self.char
-        x1, y1 = divmod(u, r)
-        x2, y2 = divmod(v, r)
+        y1, x1 = divmod(u, r)
+        y2, x2 = divmod(v, r)
         yy = op(y1, y2)
-        return ((op(x1, x2) + yy) % r) * r + (op(x1, y2) + op(y1, x2) + yy) % r
+        return (op(x1, x2) + yy) % r + (op(x1, y2) + op(y1, x2) + yy) % r * r
 
     def inv(self, u: int) -> int:
         if u == 0:
             raise ZeroDivisionError("field inverse of zero")
-        if self.degree == 1:
-            return pow(u, self.q - 2, self.q)
-        r = self.char
-        x, y = divmod(u, r)
-        n = (x * x + x * y - y * y) % r  # norm to F_r, nonzero for u != 0
-        ninv = pow(n, r - 2, r)
-        return ((x + y) * ninv % r) * r + (-y * ninv) % r
+        return self.pow_(u, self.q - 2)
 
     def pow_(self, u: int, e: int) -> int:
         if e < 0:
             return self.pow_(self.inv(u), -e)
-        out, base = self.one, u
+        out, base = 1, u
         while e:
             if e & 1:
                 out = self.mul(out, base)
@@ -102,7 +79,7 @@ class FieldCtx:
             raise EvenPrimeError("squareness is undefined in even characteristic")
         if u == 0:
             raise ValueError("squareness is undefined at zero")
-        return self.pow_(u, (self.q - 1) // 2) == self.one
+        return self.pow_(u, (self.q - 1) // 2) == 1
 
 
 def build_field(p: GoldenPrime) -> FieldCtx:
@@ -110,11 +87,11 @@ def build_field(p: GoldenPrime) -> FieldCtx:
     if p.q >= Q_LIMIT:
         raise ValueError(f"q = {p.q} is too large: fields need q < 2^30")
     if p.klass is PrimeClass.EVEN:
-        return FieldCtx(2, 2, 4, 1)
+        return FieldCtx(2, 2, 4, 2)
     if p.klass is PrimeClass.CLASS_I:
         return FieldCtx(5, 1, 5, 3)
     if p.klass is PrimeClass.CLASS_II:
-        return FieldCtx(p.char, 2, p.q, 1)
+        return FieldCtx(p.char, 2, p.q, p.char)
     q = p.q
     t = (-p.c * pow(p.d, q - 2, q)) % q
     return FieldCtx(q, 1, q, t)

@@ -44,12 +44,12 @@ class SingularMatrixError(ValueError):
     """Inversion of a singular matrix was requested."""
 
 
-def identity(ctx: FieldCtx) -> np.ndarray:
-    return np.diag([ctx.one] * 4).astype(np.int64)
+def identity() -> np.ndarray:
+    return np.eye(4, dtype=np.int64)
 
 
-def is_identity(ctx: FieldCtx, m: np.ndarray) -> bool:
-    return bool(np.array_equal(m, identity(ctx)))
+def is_identity(m: np.ndarray) -> bool:
+    return bool(np.array_equal(m, identity()))
 
 
 def mat_mul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -84,7 +84,7 @@ def _row_reduce(ctx: FieldCtx, rows: np.ndarray, ncols: int) -> tuple[np.ndarray
 
 def mat_inv(ctx: FieldCtx, m: np.ndarray) -> np.ndarray:
     """Gauss-Jordan inverse of a single 4x4 matrix."""
-    rows, pivots = _row_reduce(ctx, np.concatenate([m, identity(ctx)], axis=1), 4)
+    rows, pivots = _row_reduce(ctx, np.concatenate([m, identity()], axis=1), 4)
     if len(pivots) < 4:
         raise SingularMatrixError("matrix is singular over F_q")
     return rows[:, 4:]
@@ -92,7 +92,7 @@ def mat_inv(ctx: FieldCtx, m: np.ndarray) -> np.ndarray:
 
 def element_order(ctx: FieldCtx, m: np.ndarray, cap: int = 10_000) -> int:
     """Smallest n >= 1 with m^n = I."""
-    ident = identity(ctx)
+    ident = identity()
     p = m
     for n in range(1, cap + 1):
         if np.array_equal(p, ident):
@@ -251,7 +251,7 @@ class GroupHandle:
         if self._sorted_keys is not None:
             return _find(self._sorted_keys, _keys(self.ctx, mats)) >= 0
         assert self._chain is not None
-        ident = identity(self.ctx)
+        ident = identity()
         out = np.empty(len(mats), dtype=bool)
         for i in range(0, len(mats), BATCH):
             res, _ = _sift(self.ctx, self._chain, 0, mats[i : i + BATCH])
@@ -279,7 +279,7 @@ def enumerate_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
     """Breadth-first closure of the generators under multiplication."""
     gens = _dedup(ctx, np.asarray(gens, dtype=np.int64).reshape(-1, 4, 4))
     times_gens = _successors(ctx, gens)
-    frontier = sorted_keys = _keys(ctx, identity(ctx)[None])
+    frontier = sorted_keys = _keys(ctx, identity()[None])
     while len(frontier):
         cand = sorted_unique(times_gens(frontier).ravel())
         fresh = cand[_find(sorted_keys, cand) < 0]
@@ -297,7 +297,7 @@ def _invariant_form(ctx: FieldCtx, gens: np.ndarray) -> np.ndarray | None:
     iu, ju = np.triu_indices(4)
     n = len(iu)  # the unknowns: entry (iu[u], ju[u]) of B
     basis = np.zeros((n, 4, 4), dtype=np.int64)
-    basis[np.arange(n), iu, ju] = basis[np.arange(n), ju, iu] = ctx.one
+    basis[np.arange(n), iu, ju] = basis[np.arange(n), ju, iu] = 1
     # the equation of generator g and entry (a, b), a <= b, has coefficient
     # (g^T E_u g - E_u)[a, b] at unknown u, E_u the form with B_u = 1
     image = mat_mul(ctx, mat_mul(ctx, np.swapaxes(gens, 1, 2)[:, None], basis), gens[:, None])
@@ -307,7 +307,7 @@ def _invariant_form(ctx: FieldCtx, gens: np.ndarray) -> np.ndarray | None:
         return None
     (free,) = set(range(n)) - set(pivots)
     entries = np.zeros(n, dtype=np.int64)
-    entries[free] = ctx.one
+    entries[free] = 1
     entries[pivots] = ctx.neg(rows[: len(pivots), free])
     form = np.zeros((4, 4), dtype=np.int64)
     form[iu, ju] = form[ju, iu] = entries
@@ -323,13 +323,14 @@ def _sqrt(ctx: FieldCtx, a: int) -> int | None:
     odd, s = ctx.q - 1, 0
     while odd % 2 == 0:
         odd, s = odd // 2, s + 1
-    # from one up: at degree 2 the codes below one are the multiples of theta,
-    # which can all be squares
-    z = next(z for z in range(ctx.one, ctx.q) if not ctx.is_square(z))
+    # the codes below char make F_r, and at degree 2 each of them is a square
+    # in F_q, so the scan for a non-square starts past them
+    start = 1 if ctx.degree == 1 else ctx.char
+    z = next(z for z in range(start, ctx.q) if not ctx.is_square(z))
     c, t, r = ctx.pow_(z, odd), ctx.pow_(a, odd), ctx.pow_(a, (odd + 1) // 2)
-    while t != ctx.one:
+    while t != 1:
         i, t2 = 0, t
-        while t2 != ctx.one:
+        while t2 != 1:
             i, t2 = i + 1, ctx.mul(t2, t2)
         b = ctx.pow_(c, 1 << (s - i - 1))
         s, c = i, ctx.mul(b, b)
@@ -364,7 +365,7 @@ def _isotropic_pair(ctx: FieldCtx, form: np.ndarray) -> tuple[np.ndarray, np.nda
         return ctx.mul(u, ctx.inv(v))
 
     def isotropic_vector() -> np.ndarray:
-        frame, diag = list(identity(ctx)), []  # frame spans the complement of the f_i
+        frame, diag = list(identity()), []  # frame spans the complement of the f_i
         while True:
             norms = [bil(w, w) for w in frame]
             if 0 in norms:
@@ -384,7 +385,7 @@ def _isotropic_pair(ctx: FieldCtx, form: np.ndarray) -> tuple[np.ndarray, np.nda
     l1 = isotropic_vector()
     bl1 = [int(x) for x in mat_vec(ctx, form, l1)]
     j = next(j for j, x in enumerate(bl1) if x)
-    l2 = ctx.sub(identity(ctx)[j], ctx.mul(over(int(form[j, j]), ctx.add(bl1[j], bl1[j])), l1))
+    l2 = ctx.sub(identity()[j], ctx.mul(over(int(form[j, j]), ctx.add(bl1[j], bl1[j])), l1))
     return _lines(ctx, l1), _lines(ctx, l2)
 
 
@@ -425,7 +426,7 @@ def _base_candidates(ctx: FieldCtx, gens: np.ndarray) -> list[tuple[np.ndarray, 
     isotropic points l1 and l2 with B(l1, l2) != 0 give l1 as a line, l2 as a
     line and l1 as a vector; the standard basis vectors always follow, so
     that only the identity fixes every candidate. Each is a pair (point, line)."""
-    basis = [(e, False) for e in identity(ctx)]
+    basis = [(e, False) for e in identity()]
     # the isotropic search divides by 2
     form = _invariant_form(ctx, gens) if ctx.q % 2 else None
     if form is None:
@@ -445,7 +446,7 @@ def _build_orbit(ctx: FieldCtx, lvl: _Level, cap: int) -> None:
     vecs = lvl.point[None]
     keys = _point_keys(ctx, lvl.line, vecs)
     rows = np.zeros(1, dtype=np.intp)  # rows[i]: layer-order row of keys[i]
-    t = t_inv = identity(ctx)[None]
+    t = t_inv = identity()[None]
     ts, t_invs = [t.astype(compact)], [t_inv.astype(compact)]
     while len(vecs):
         imgs = mat_vec(ctx, gens[:, None], vecs[None]).reshape(-1, 4)
@@ -555,7 +556,7 @@ def bsgs_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
     the order is exact.
     """
     gens = [g for g in _dedup(ctx, np.asarray(gens, dtype=np.int64).reshape(-1, 4, 4))
-            if not is_identity(ctx, g)]
+            if not is_identity(g)]
     candidates = _base_candidates(ctx, np.stack(gens)) if gens else []
     chain: list[_Level] = []
     for g in gens:
@@ -566,7 +567,7 @@ def bsgs_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
         )
         _add_generator(ctx, chain, g, range(moved + 1), candidates)
 
-    ident = identity(ctx)
+    ident = identity()
     # unsifted[l]: the sorted keys of level l's Schreier generators that are
     # still to be sifted; a level whose generators changed has no record
     unsifted: dict[int, np.ndarray] = {}

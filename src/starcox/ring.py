@@ -25,6 +25,21 @@ class ParseError(ValueError):
     """Malformed textual form of a ring element."""
 
 
+def _coerced(op):
+    """A binary dunder of GoldenInt that takes an int operand as a GoldenInt
+    and returns NotImplemented for every other type, so Python raises
+    TypeError."""
+
+    def dunder(self: GoldenInt, other: GoldenInt | int) -> GoldenInt:
+        if isinstance(other, int):
+            other = GoldenInt(other, 0)
+        elif not isinstance(other, GoldenInt):
+            return NotImplemented
+        return op(self, other)
+
+    return dunder
+
+
 @dataclass(frozen=True)
 class GoldenInt:
     """Element a + b*tau of Z[tau], where tau = (1+sqrt5)/2 and tau^2 = tau + 1."""
@@ -32,24 +47,25 @@ class GoldenInt:
     a: int
     b: int
 
-    def __add__(self, other: GoldenInt | int) -> GoldenInt:
-        other = _coerce(other)
+    @_coerced
+    def __add__(self, other: GoldenInt) -> GoldenInt:
         return GoldenInt(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
-    def __sub__(self, other: GoldenInt | int) -> GoldenInt:
-        other = _coerce(other)
+    @_coerced
+    def __sub__(self, other: GoldenInt) -> GoldenInt:
         return GoldenInt(self.a - other.a, self.b - other.b)
 
-    def __rsub__(self, other: GoldenInt | int) -> GoldenInt:
-        return _coerce(other) - self
+    @_coerced
+    def __rsub__(self, other: GoldenInt) -> GoldenInt:
+        return other - self
 
     def __neg__(self) -> GoldenInt:
         return GoldenInt(-self.a, -self.b)
 
-    def __mul__(self, other: GoldenInt | int) -> GoldenInt:
-        other = _coerce(other)
+    @_coerced
+    def __mul__(self, other: GoldenInt) -> GoldenInt:
         a, b, c, d = self.a, self.b, other.a, other.b
         return GoldenInt(a * c + b * d, a * d + b * c + b * d)
 
@@ -95,14 +111,6 @@ ZERO = GoldenInt(0, 0)
 ONE = GoldenInt(1, 0)
 TAU = GoldenInt(0, 1)
 TAU_INV = GoldenInt(-1, 1)
-
-
-def _coerce(x: GoldenInt | int) -> GoldenInt:
-    if isinstance(x, GoldenInt):
-        return x
-    if isinstance(x, int):
-        return GoldenInt(x, 0)
-    return NotImplemented
 
 
 def exact_div(z: GoldenInt, w: GoldenInt) -> GoldenInt | None:

@@ -104,7 +104,7 @@ def test_negative_control_intersection_witness():
     assert enumerate_group(ctx, corrupted[kept("03")]).contains(w)
     assert enumerate_group(ctx, corrupted[kept("23")]).contains(w)
     assert not np.array_equal(w, gens[1])
-    assert not np.array_equal(w, identity(ctx))
+    assert not np.array_equal(w, identity())
 
 
 def test_negative_control_non_involution():

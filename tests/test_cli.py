@@ -160,6 +160,35 @@ def test_bad_bounds_exit_without_traceback(argv, env, code):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv,lines",
+    [
+        # the survey flushes each row, so the row after the first meets the
+        # closed pipe; classify's lines are still buffered when it closes
+        (("survey", "--k", "3", "--max-norm", "61"), 1),
+        (("classify", "--k", "3", "--prime", "2"), 0),
+    ],
+    ids=["survey-after-one-row", "classify-at-once"],
+)
+def test_closed_stdout_exits_2_without_traceback(argv, lines):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "starcox.cli", *argv],
+        env={**os.environ, "PYTHONPATH": SRC},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    for _ in range(lines):
+        assert json.loads(proc.stdout.readline())["k"] == 3
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
+
 # Tokens of the real grammar, bounded so every run stays small (primes of
 # norm <= 11, caps <= 2,000, survey norms <= 5), next to units, composites,
 # unparsable primes, bad k values, non-positive caps and out-of-range norms.

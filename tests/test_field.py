@@ -44,7 +44,7 @@ def test_tau_image_satisfies_defining_relation():
     for p in primes_up_to_norm(60):
         ctx = build_field(p)
         t = ctx.tau_code
-        assert ctx.sub(ctx.mul(t, t), ctx.add(t, ctx.one)) == 0
+        assert ctx.sub(ctx.mul(t, t), ctx.add(t, 1)) == 0
         assert ctx.reduce(GoldenInt(0, 1)) == t
         assert ctx.reduce(p.value) == 0
 
@@ -73,10 +73,10 @@ def test_field_axioms_and_inverse():
         codes = [rng.randrange(ctx.q) for _ in range(40)]
         for u in codes:
             assert ctx.add(u, ctx.neg(u)) == 0
-            assert ctx.mul(u, ctx.one) == u
+            assert ctx.mul(u, 1) == u
             if u:
-                assert ctx.mul(u, ctx.inv(u)) == ctx.one
-                assert ctx.pow_(u, ctx.q - 1) == ctx.one
+                assert ctx.mul(u, ctx.inv(u)) == 1
+                assert ctx.pow_(u, ctx.q - 1) == 1
         with pytest.raises(ZeroDivisionError):
             ctx.inv(0)
 
@@ -84,7 +84,7 @@ def test_field_axioms_and_inverse():
 def test_inv_tau_image():
     for p in primes_up_to_norm(60):
         ctx = build_field(p)
-        assert ctx.inv(ctx.tau_code) == ctx.sub(ctx.tau_code, ctx.one)
+        assert ctx.inv(ctx.tau_code) == ctx.sub(ctx.tau_code, 1)
 
 
 def test_is_square_examples():
@@ -119,11 +119,11 @@ def test_is_square_matches_golden_legendre():
 
 def test_tau_code_arithmetic():
     ctx = ctx_of(3, 0)
-    t, one = ctx.tau_code, ctx.one
-    assert ctx.mul(t, t) == ctx.add(t, one)
-    assert ctx.mul(t, ctx.inv(t)) == one
+    t = ctx.tau_code
+    assert ctx.mul(t, t) == ctx.add(t, 1)
+    assert ctx.mul(t, ctx.inv(t)) == 1
     assert ctx.add(ctx.neg(t), t) == 0
-    assert ctx.pow_(t, 8) == one
+    assert ctx.pow_(t, 8) == 1
     assert ctx.decode(t) == (0, 1)
 
 
@@ -133,3 +133,65 @@ def test_build_field_bound():
     assert ctx_of(32759, 18).q == 1_073_741_419 < Q_LIMIT
     with pytest.raises(ValueError):
         ctx_of(32783, 0)
+
+
+# ---------------------------------------------------------------------------
+# a layout-free oracle: (x, y) arithmetic in F_r[theta]/(theta^2 - theta - 1)
+
+
+def pair_add(u, v, r):
+    return (u[0] + v[0]) % r, (u[1] + v[1]) % r
+
+
+def pair_neg(u, r):
+    return -u[0] % r, -u[1] % r
+
+
+def pair_mul(u, v, r):
+    (x1, y1), (x2, y2) = u, v
+    return (x1 * x2 + y1 * y2) % r, (x1 * y2 + y1 * x2 + y1 * y2) % r
+
+
+def pair_inv(u, r):
+    # (x + y theta)(x + y - y theta) = x^2 + xy - y^2, the norm to F_r
+    x, y = u
+    n = pow(x * x + x * y - y * y, r - 2, r)
+    return (x + y) * n % r, -y * n % r
+
+
+@pytest.mark.parametrize("p", primes_up_to_norm(49), ids=lambda p: f"q{p.q}_{p.value}")
+def test_field_ops_match_pair_arithmetic(p):
+    ctx = build_field(p)
+    r = ctx.char
+    pair = [ctx.decode(u) for u in range(ctx.q)]
+    code = {xy: u for u, xy in enumerate(pair)}
+    assert len(code) == ctx.q  # decode is a bijection onto its pairs
+    assert all(0 <= x < r and 0 <= y < r and (ctx.degree == 2 or y == 0) for x, y in pair)
+    assert pair[1] == (1, 0)
+    theta = pair[ctx.tau_code]
+    assert pair_mul(theta, theta, r) == pair_add(theta, (1, 0), r)
+    for a, b in ((0, 1), (7, -3), (-12, 5)):
+        want = pair_add((a % r, 0), pair_mul((b % r, 0), theta, r), r)
+        assert ctx.reduce(GoldenInt(a, b)) == code[want]
+    squares = {code[pair_mul(xy, xy, r)] for xy in pair}
+    for u in range(ctx.q):
+        assert ctx.neg(u) == code[pair_neg(pair[u], r)]
+        assert ctx.mul(1, u) == ctx.mul(u, 1) == u
+        for v in range(ctx.q):
+            assert ctx.add(u, v) == code[pair_add(pair[u], pair[v], r)]
+            assert ctx.sub(u, v) == code[pair_add(pair[u], pair_neg(pair[v], r), r)]
+            assert ctx.mul(u, v) == code[pair_mul(pair[u], pair[v], r)]
+        if not u:
+            continue
+        assert ctx.inv(u) == code[pair_inv(pair[u], r)]
+        power = (1, 0)
+        for e in range(ctx.q + 1):
+            assert ctx.pow_(u, e) == code[power]
+            power = pair_mul(power, pair[u], r)
+        assert ctx.pow_(u, -2) == code[pair_mul(*[pair_inv(pair[u], r)] * 2, r)]
+        if ctx.q % 2:
+            assert ctx.is_square(u) == (u in squares)
+    # the codes below char are the prime field: closed under add and mul
+    for a in range(r):
+        for b in range(r):
+            assert ctx.add(a, b) < r and ctx.mul(a, b) < r

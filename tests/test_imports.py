@@ -62,3 +62,30 @@ def test_no_unreferenced_definitions():
             referenced |= referenced_names(ast.parse(p.read_text(encoding="utf-8")))
     assert len(defined) > 50
     assert sorted(f"{where} {name}" for name, where in defined if name not in referenced) == []
+
+
+def unread_parameters(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(function, parameter, line) for each parameter other than self that
+    its function, nested functions included, never reads."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(fn, "name", "<lambda>")
+        out += [(name, p.arg, fn.lineno) for p in params if p.arg != "self" and p.arg not in read]
+    return out
+
+
+def test_no_unused_parameters():
+    library = sorted((ROOT / "src" / "starcox").rglob("*.py"))
+    unread = [
+        f"{p.relative_to(ROOT)}:{line} {fn}({param})"
+        for p in library
+        for fn, param, line in unread_parameters(ast.parse(p.read_text(encoding="utf-8")))
+    ]
+    assert unread == []

@@ -37,6 +37,32 @@ def test_norm_examples():
     assert GoldenInt(3, 1).norm() == 11
 
 
+@pytest.mark.parametrize("other", [1.5, "1", None], ids=["float", "str", "None"])
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda z, w: z + w,
+        lambda z, w: w + z,
+        lambda z, w: z - w,
+        lambda z, w: w - z,
+        lambda z, w: z * w,
+        lambda z, w: w * z,
+    ],
+    ids=["add", "radd", "sub", "rsub", "mul", "rmul"],
+)
+def test_unsupported_operand_raises_type_error(op, other):
+    with pytest.raises(TypeError):
+        op(GoldenInt(1, 0), other)
+
+
+def test_int_operands_act_as_rational_integers():
+    z = GoldenInt(2, 3)
+    assert z + 1 == 1 + z == GoldenInt(3, 3)
+    assert z - 1 == GoldenInt(1, 3)
+    assert 1 - z == GoldenInt(-1, -3)
+    assert 2 * z == z * 2 == GoldenInt(4, 6)
+
+
 @given(golden, golden)
 def test_norm_multiplicative(z, w):
     assert (z * w).norm() == z.norm() * w.norm()
