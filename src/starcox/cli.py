@@ -14,7 +14,7 @@ from .cgroup import CHECK_NAMES, verify_cgroup
 from .classify import classify_rank4, table3_lookup
 from .field import Q_LIMIT
 from .matgroup import DEFAULT_CAP, OverCapError, bsgs_group, enumerate_group
-from .polytope import face_counts, incidence_report
+from .polytope import polytope_report
 from .ring import (
     CompositeError,
     ParseError,
@@ -180,8 +180,7 @@ def cmd_polytope(args) -> int:
     k = _parse_k(args.k)
     p = _prime(args.prime)
     params, cap = StarParams(k, p), _cap(args)
-    stats = face_counts(params, args.ring, cap=cap)
-    inc = incidence_report(params, args.ring, cap=cap)
+    stats, inc = polytope_report(params, args.ring, cap=cap)
     if args.format == "json":
         print(json.dumps({**stats.to_json(), **inc.to_json()}))
     else:

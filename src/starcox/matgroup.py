@@ -12,16 +12,21 @@ deduplication, membership, intersection and element positions alike, and
 ``elements`` decodes them on access. A BFS layer takes the keys of x g for
 every key x and generator g from ``_successors``: at q <= 16 by a table per
 generator from row codes to row codes, filled lazily through ``mat_mul``, so
-it never decodes a matrix, and above q = 16 by decoded products. A
-Schreier-Sims level acts on vectors or on lines, a line keyed by its vector
-scaled so that its first nonzero entry is one, and stores its orbit as the
-sorted keys of its points, with the transversal as stacked arrays in the
-same order; one batched sift serves membership and the Schreier generators
-alike. The chain's base opens with isotropic lines of the symmetric form
-that the generators preserve, derived from the generators themselves, where
-there is a single nondegenerate one. Schreier-Sims is incremental: a level's
-Schreier generators are formed once per orbit build, and a revisit sifts
-only those after the one whose residue was last added.
+it never decodes a matrix, and above q = 16 by decoded products. The BFS is
+a frontier search: it also multiplies by the inverses of generators that are
+not involutions, so its Cayley graph is undirected, a layer's candidates can
+only meet the two layers before them, and the store is sorted once, at the
+end. A Schreier-Sims level acts on vectors or on lines, a line keyed by its
+vector scaled so that its first nonzero entry is one, and stores its orbit
+as the sorted keys of its points, with the transversal as stacked arrays in
+the same order; a level with one generator builds its orbit, a cycle, by
+cyclic doubling rather than one point per BFS layer. One batched sift serves
+membership and the Schreier generators alike. The chain's base opens with
+isotropic lines of the symmetric form that the generators preserve, derived
+from the generators themselves, where there is a single nondegenerate one.
+Schreier-Sims is incremental: a level's Schreier generators are formed once
+per orbit build, and a revisit sifts only those after the one whose residue
+was last added.
 """
 
 from __future__ import annotations
@@ -165,6 +170,17 @@ def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return np.where(sorted_keys[pos] == keys, pos, -1)
 
 
+def _missing(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """The keys absent from sorted_keys, both sorted and distinct. In
+    sorted_keys twice over plus keys, a key of sorted_keys comes up at least
+    twice and an absent one once; a stable sort merges the three runs."""
+    merged = np.concatenate([sorted_keys, sorted_keys, keys])
+    merged.sort(kind="stable")
+    once = np.ones(len(merged) + 1, dtype=bool)
+    once[1:-1] = merged[1:] != merged[:-1]
+    return merged[once[:-1] & once[1:]]
+
+
 def _dedup(ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:
     return _decode(ctx, sorted_unique(_keys(ctx, mats)))
 
@@ -276,18 +292,35 @@ class GroupHandle:
 
 
 def enumerate_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
-    """Breadth-first closure of the generators under multiplication."""
+    """Breadth-first closure of invertible generators under multiplication, by
+    frontier search (Korf, Zhang, Thayer and Hohwald, J. ACM 52 (2005)).
+
+    The search multiplies by the generators and by the inverses of those
+    that are not involutions, so its Cayley graph is undirected: the
+    distances from the identity of two neighbours differ by at most one, and
+    every neighbour of layer n lies in layer n - 1, n or n + 1. So a
+    candidate of layer n + 1 is fresh unless it lies in layer n - 1 or n, and
+    it is checked against those two layers alone (``_missing``), never
+    against the whole store. The layers are collected, and the store is
+    concatenated and sorted once, at the end. The cap bounds the running
+    total of elements."""
     gens = _dedup(ctx, np.asarray(gens, dtype=np.int64).reshape(-1, 4, 4))
-    times_gens = _successors(ctx, gens)
-    frontier = sorted_keys = _keys(ctx, identity()[None])
+    squares_to_one = (mat_mul(ctx, gens, gens) == identity()).all(axis=(1, 2))
+    invs = np.array([mat_inv(ctx, g) for g in gens[~squares_to_one]], dtype=np.int64)
+    times_gens = _successors(ctx, np.concatenate([gens, invs.reshape(-1, 4, 4)]))
+    frontier = _keys(ctx, identity()[None])
+    layers, total = [frontier[:0], frontier], 1  # layer -1 is empty
     while len(frontier):
-        cand = sorted_unique(times_gens(frontier).ravel())
-        fresh = cand[_find(sorted_keys, cand) < 0]
-        if len(sorted_keys) + len(fresh) > cap:
+        frontier = sorted_unique(times_gens(frontier).ravel())
+        for layer in layers[-2:]:
+            frontier = _missing(frontier, layer)
+        total += len(frontier)
+        if total > cap:
             raise OverCapError(f"closure exceeds cap {cap}")
-        sorted_keys = np.insert(sorted_keys, np.searchsorted(sorted_keys, fresh), fresh)
-        frontier = fresh
-    return GroupHandle(ctx, gens, sorted_keys)
+        layers.append(frontier)
+    store = np.concatenate(layers)
+    store.sort()
+    return GroupHandle(ctx, gens, store)
 
 
 def _invariant_form(ctx: FieldCtx, gens: np.ndarray) -> np.ndarray | None:
@@ -435,12 +468,48 @@ def _base_candidates(ctx: FieldCtx, gens: np.ndarray) -> list[tuple[np.ndarray, 
     return [(l1, True), (l2, True), (l1, False), *basis]
 
 
+def _cycle(ctx: FieldCtx, lvl: _Level, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The orbit of the base point under the level's one generator g, by
+    cyclic doubling: with the first n points g^i p known, g^n maps them to
+    the next n, and g^n is squared. The orbit is a cycle, so the first point
+    that comes round again is p itself: were g^L p = g^j p with 0 < j < L,
+    then g^(L-j) p = p would have come round before. The transversal of
+    g^i p is g^i, and its inverse is (g^-1)^i, the elements that breadth-first
+    search assigns. Returns the keys in layer order, t and t_inv, raising
+    OverCapError before taking more than cap points."""
+    g, ginv = lvl.gens[0], lvl.gen_invs[0]
+    vecs = lvl.point[None]
+    keys = _point_keys(ctx, lvl.line, vecs)
+    t = t_inv = identity()[None]
+    while True:
+        take = min(len(vecs), cap + 1 - len(vecs))
+        imgs = mat_vec(ctx, g, vecs[:take])
+        img_keys = _point_keys(ctx, lvl.line, imgs)
+        back = np.flatnonzero(img_keys == keys[0])
+        new = back[0] if len(back) else take
+        keys = np.concatenate([keys, img_keys[:new]])
+        t = np.concatenate([t, mat_mul(ctx, g, t[:new])])
+        t_inv = np.concatenate([t_inv, mat_mul(ctx, t_inv[:new], ginv)])
+        if len(back):
+            return keys, t, t_inv
+        if len(keys) > cap:
+            raise OverCapError(f"orbit exceeds cap {cap}")
+        vecs = np.concatenate([vecs, imgs])
+        g, ginv = mat_mul(ctx, g, g), mat_mul(ctx, ginv, ginv)
+
+
 def _build_orbit(ctx: FieldCtx, lvl: _Level, cap: int) -> None:
-    """Breadth-first orbit of the base point, one layer for all generators at
-    once, raising OverCapError past cap points. Each layer's transversal rows
-    are appended in layer order, in the compact dtype, and only the keys and
-    the row numbers are kept sorted; the rows are put in key order and
-    widened to int64 once, at the end."""
+    """Orbit of the base point with its transversal, raising OverCapError
+    past cap points: by cyclic doubling (``_cycle``) on a level with one
+    generator, else breadth-first, one layer for all generators at once.
+    Each layer's transversal rows are appended in layer order, in the
+    compact dtype, and only the keys and the row numbers are kept sorted;
+    the rows are put in key order and widened to int64 once, at the end."""
+    if len(lvl.gens) == 1:
+        keys, t, t_inv = _cycle(ctx, lvl, cap)
+        order = np.argsort(keys)
+        lvl.keys, lvl.t, lvl.t_inv = keys[order], t[order], t_inv[order]
+        return
     compact = _compact_dtype(ctx)
     gens, ginvs = np.stack(lvl.gens), np.stack(lvl.gen_invs)
     vecs = lvl.point[None]

@@ -106,7 +106,11 @@ def face_counts(params: StarParams, ringed_node: int, cap: int = DEFAULT_CAP) ->
     come from enumeration, capped at cap elements, so every count is an
     exact subgroup index.
     """
-    orders = {f: group.order for f, group in _stabilizers(params, ringed_node, cap).items()}
+    return _counts(params, ringed_node, _stabilizers(params, ringed_node, cap))
+
+
+def _counts(params: StarParams, ringed_node: int, groups: dict[str, GroupHandle]) -> PolytopeStats:
+    orders = {f: group.order for f, group in groups.items()}
     n = classify_rank4(params).predicted_order
     counts = [_index(n, order, f"{f} stabilizer") for f, order in orders.items()]
     m = reduced_generators(params)[2].product_orders
@@ -156,7 +160,11 @@ def incidence_report(
     holds by transitivity. Only the stabilizers are enumerated, each
     capped at cap elements; the full group is never built.
     """
-    groups = _stabilizers(params, ringed_node, cap, ("edge", "vertex", "P-cell", "Q-cell"))
+    names = ("edge", "vertex", "P-cell", "Q-cell")
+    return _incidence(params, ringed_node, _stabilizers(params, ringed_node, cap, names))
+
+
+def _incidence(params: StarParams, ringed_node: int, groups: dict[str, GroupHandle]) -> IncidenceReport:
     ctx, gens, _ = reduced_generators(params)
     faces, edge, vertex = _FACES[ringed_node], groups["edge"], groups["vertex"]
 
@@ -175,3 +183,12 @@ def incidence_report(
         for c in ("P-cell", "Q-cell")
     )
     return IncidenceReport(alternates("P-cell") and alternates("Q-cell"), (profile,), True)
+
+
+def polytope_report(
+    params: StarParams, ringed_node: int, cap: int = DEFAULT_CAP
+) -> tuple[PolytopeStats, IncidenceReport]:
+    """``face_counts`` and ``incidence_report`` of one ringing, from one
+    enumeration of each face stabilizer."""
+    groups = _stabilizers(params, ringed_node, cap)
+    return _counts(params, ringed_node, groups), _incidence(params, ringed_node, groups)

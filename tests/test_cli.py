@@ -346,6 +346,30 @@ def test_polytope_text_format(capsys):
     assert "incidence edges ok true, vertex profile P 4 Q 4, crossfoot ok true" in out
 
 
+@pytest.mark.parametrize("ring", [0, 2])
+def test_polytope_enumerates_each_face_stabilizer_once(ring, capsys, monkeypatch):
+    # five face stabilizers, each enumerated once for both reports; the
+    # output is that of face_counts and incidence_report called one by one
+    params = starcox.StarParams(3, starcox.classify_prime(starcox.GoldenInt(-1, 2)))
+    stats, inc = starcox.face_counts(params, ring), starcox.incidence_report(params, ring)
+    calls = []
+    inner = starcox.polytope.enumerate_group
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(starcox.polytope, "enumerate_group", counted)
+    argv = ("polytope", "--k", "3", "--prime", "-1+2t", "--ring", str(ring))
+    rc, out, _ = run(capsys, *argv, "--format", "text")
+    assert rc == 0
+    assert out == f"{stats.to_text()}\n{inc.to_text()}\n"
+    assert len(calls) == 5
+    rc, out, _ = run(capsys, *argv, "--format", "json")
+    assert rc == 0
+    assert out == json.dumps({**stats.to_json(), **inc.to_json()}) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # survey
 

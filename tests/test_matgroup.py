@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -19,6 +20,8 @@ from starcox.matgroup import (
     OverCapError,
     SingularMatrixError,
     _decode,
+    _dedup,
+    _find,
     _invariant_form,
     _isotropic_pair,
     _keys,
@@ -131,7 +134,8 @@ def test_element_order_basics():
 # keys
 
 # one prime of each field size the key tests use
-PRIMES = {4: (2, 0), 5: (-1, 2), 9: (3, 0), 11: (3, 1), 19: (-4, -1), 61: (-7, -3), 269: (-15, -4)}
+PRIMES = {4: (2, 0), 5: (-1, 2), 9: (3, 0), 11: (3, 1), 19: (-4, -1), 29: (-5, -1), 61: (-7, -3),
+          269: (-15, -4)}
 
 
 def test_key_dtype_per_field():
@@ -253,6 +257,62 @@ def test_enumerate_without_generators_is_trivial():
         group = enumerate_group(ctx, gens[[]])
         assert group.order == 1
         assert is_identity(group.elements[0])
+
+
+def full_store_bfs(ctx, gens, cap):
+    """The sorted keys of the closure by breadth-first search against the
+    whole store: each layer's candidates are searched in every key found so
+    far and the fresh ones inserted. It needs no inverses and no undirected
+    Cayley graph, so it checks the frontier search of ``enumerate_group``."""
+    times_gens = _successors(ctx, _dedup(ctx, np.asarray(gens, dtype=np.int64).reshape(-1, 4, 4)))
+    frontier = store = _keys(ctx, identity()[None])
+    while len(frontier):
+        cand = sorted_unique(times_gens(frontier).ravel())
+        frontier = cand[_find(store, cand) < 0]
+        if len(store) + len(frontier) > cap:
+            raise OverCapError(f"closure exceeds cap {cap}")
+        store = np.insert(store, np.searchsorted(store, frontier), frontier)
+    return store
+
+
+def assert_closure_matches_full_store_bfs(ctx, gens, cap):
+    try:
+        want = full_store_bfs(ctx, gens, cap)
+    except OverCapError:
+        with pytest.raises(OverCapError):
+            enumerate_group(ctx, gens, cap=cap)
+        return None
+    got = enumerate_group(ctx, gens, cap=cap)._sorted_keys
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    return len(want)
+
+
+@pytest.mark.parametrize("q", [4, 5, 9, 11, 19, 29])
+def test_frontier_search_matches_full_store_bfs(q):
+    # row tables at q <= 16, decoded products above; every nonempty subset of
+    # the reduced generators, and sets that are not all involutions: r0 r1
+    # (order 5), with r3, a repeated generator and the identity. The cap is
+    # met by both searches or by neither
+    sizes = []
+    for k in (3, 6):
+        ctx, gens = gens_of(k, *PRIMES[q])
+        r0r1 = mat_mul(ctx, gens[0], gens[1])[None]
+        sets = [gens[list(s)] for n in range(1, 5) for s in itertools.combinations(range(4), n)]
+        sets += [r0r1, np.concatenate([r0r1, gens[[3]]]), gens[[0, 1, 0]],
+                 np.concatenate([identity()[None], gens[[1, 2]]])]
+        sizes += [assert_closure_matches_full_store_bfs(ctx, s, 20_000) for s in sets]
+    assert sum(n is not None for n in sizes) >= 20
+
+
+@pytest.mark.parametrize("q", [4, 11, 19])
+def test_frontier_search_cap_boundary(q):
+    ctx, gens = gens_of(4, *PRIMES[q])
+    for subset in ([0, 1, 3], [1, 2, 3]):
+        order = enumerate_group(ctx, gens[subset]).order
+        assert enumerate_group(ctx, gens[subset], cap=order).order == order
+        with pytest.raises(OverCapError):
+            enumerate_group(ctx, gens[subset], cap=order - 1)
 
 
 def successor_reference(ctx, keys, gens):
@@ -386,6 +446,77 @@ def test_bsgs_chain_shape(k, prime, l1, l2, orbits, strong, order):
         assert np.array_equal(np.sort(lvl.keys), lvl.keys)
         assert np.array_equal(_point_keys(ctx, lvl.line, mat_vec(ctx, lvl.t, lvl.point)), lvl.keys)
         assert (mat_mul(ctx, lvl.t_inv, lvl.t) == identity()).all()
+
+
+def cycle_oracle(ctx, lvl):
+    """The orbit of a one-generator level by breadth-first search, one point
+    per layer: keys, t and t_inv in key order."""
+    (g,), (ginv,) = lvl.gens, lvl.gen_invs
+    keys, ts, t_invs = [_point_keys(ctx, lvl.line, lvl.point[None])], [identity()], [identity()]
+    v = mat_vec(ctx, g, lvl.point)
+    while (key := _point_keys(ctx, lvl.line, v[None])) != keys[0]:
+        keys.append(key)
+        ts.append(mat_mul(ctx, g, ts[-1]))
+        t_invs.append(mat_mul(ctx, t_invs[-1], ginv))
+        v = mat_vec(ctx, g, v)
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
+    return keys[order], np.stack(ts)[order], np.stack(t_invs)[order]
+
+
+@pytest.mark.parametrize("q", [19, 61])
+def test_cyclic_doubling_matches_one_point_layers(q):
+    # r0 fixes the line of e1 and moves e1 (orbits of 1 and 2 points); r0 r1
+    # has order 5, and the Coxeter element r0 r1 r2 r3 makes orbits of 9, 18
+    # and 60 points, so the last doubling step takes only part of the points
+    ctx, gens = gens_of(3, *PRIMES[q])
+    r0, r1, r2, r3 = gens
+    l1, _ = _isotropic_pair(ctx, _invariant_form(ctx, gens))
+    coxeter = mat_mul(ctx, mat_mul(ctx, r0, r1), mat_mul(ctx, r2, r3))
+    lengths = set()
+    for g in (r0, mat_mul(ctx, r0, r1), coxeter):
+        for point, line in itertools.product((identity()[0], l1), (False, True)):
+            lvl = matgroup._Level(point, line)
+            lvl.gens, lvl.gen_invs = [g], [mat_inv(ctx, g)]
+            keys, t, t_inv = cycle_oracle(ctx, lvl)
+            matgroup._build_orbit(ctx, lvl, cap=len(keys))
+            for got, want in ((lvl.keys, keys), (lvl.t, t), (lvl.t_inv, t_inv)):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            with pytest.raises(OverCapError):
+                matgroup._build_orbit(ctx, lvl, cap=len(keys) - 1)
+            lengths.add(len(keys))
+    assert {1, 2, 5} <= lengths
+    assert any(n & (n - 1) and n > 8 for n in lengths)
+
+
+def chain_digest(group):
+    h = hashlib.sha256()
+    for lvl in group._chain:
+        for arr in (lvl.point, [lvl.line], lvl.keys, lvl.t, lvl.t_inv, lvl.gens, lvl.gen_invs):
+            h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def test_chain_through_cyclic_doubling_is_pinned(monkeypatch):
+    # k = 3 at -12-5t (q = 179): one orbit build meets a level with a single
+    # generator and makes a cycle of 15,931 points. The digest of every
+    # level's point, orbit keys, transversal and generators was taken with
+    # one-point BFS layers
+    ctx, gens = gens_of(3, -12, -5)
+    cycles = []
+    inner = matgroup._cycle
+
+    def counted(ctx, lvl, cap):
+        out = inner(ctx, lvl, cap)
+        cycles.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(matgroup, "_cycle", counted)
+    group = bsgs_group(ctx, gens)
+    assert max(cycles) == 15_931
+    assert group.order == 32_892_060_225_600
+    assert chain_digest(group) == "144c06cb7812ac7705a7ff5aa0d3163c192c6db6264e4572868d66cc921f499c"
 
 
 def test_bsgs_respects_cap():
