@@ -19,11 +19,14 @@ only meet the two layers before them, and the store is sorted once, at the
 end. A Schreier-Sims level acts on vectors or on lines, a line keyed by its
 vector scaled so that its first nonzero entry is one, and stores its orbit
 as the sorted keys of its points, with the transversal as stacked arrays in
-the same order; a level with one generator builds its orbit, a cycle, by
-cyclic doubling rather than one point per BFS layer. One batched sift serves
-membership and the Schreier generators alike. The chain's base opens with
-isotropic lines of the symmetric form that the generators preserve, derived
-from the generators themselves, where there is a single nondegenerate one.
+the same order. One orbit loop builds every level, with two step rules:
+breadth-first layers over several generators, and cyclic doubling of the
+cycle that one generator makes. One batched sift serves membership and the
+Schreier generators alike, and one rule (``_add_generator``) decides which
+levels a new strong generator joins: every level from where it enters up to
+the first base point it moves. The chain's base opens with isotropic lines
+of the symmetric form that the generators preserve, derived from the
+generators themselves, where there is a single nondegenerate one.
 Schreier-Sims is incremental: a level's Schreier generators are formed once
 per orbit build, and a revisit sifts only those after the one whose residue
 was last added.
@@ -38,7 +41,11 @@ import numpy as np
 from .field import FieldCtx
 
 DEFAULT_CAP = 2_500_000
-BATCH = 1 << 13  # matrices per batched kernel call, to bound memory
+# matrices per chunk where a call would otherwise scale with the group: the
+# products of closure layers above q = 16, ``contains_batch`` and
+# ``_schreier_generators``. Orbit steps and level sifts are not chunked;
+# they scale with an orbit, so the orbit cap bounds them
+BATCH = 1 << 13
 
 
 class OverCapError(RuntimeError):
@@ -270,7 +277,7 @@ class GroupHandle:
         ident = identity()
         out = np.empty(len(mats), dtype=bool)
         for i in range(0, len(mats), BATCH):
-            res, _ = _sift(self.ctx, self._chain, 0, mats[i : i + BATCH])
+            res = _sift(self.ctx, self._chain, 0, mats[i : i + BATCH])
             out[i : i + BATCH] = (res == ident).all(axis=(1, 2))
         return out
 
@@ -430,7 +437,8 @@ class _Level:
     one (``_point_keys``). The orbit is the sorted array of those keys; ``t``
     and ``t_inv`` are stacked arrays in key order, so ``t[i]`` maps the point
     to a vector of key ``keys[i]``. ``keys``, ``t`` and ``t_inv`` are set by
-    ``_build_orbit``."""
+    ``_build_orbit``, breadth-first or, with one generator, by cyclic
+    doubling; ``gens`` grow only through ``_add_generator``."""
 
     __slots__ = ("point", "line", "gens", "gen_invs", "keys", "t", "t_inv")
 
@@ -468,92 +476,72 @@ def _base_candidates(ctx: FieldCtx, gens: np.ndarray) -> list[tuple[np.ndarray, 
     return [(l1, True), (l2, True), (l1, False), *basis]
 
 
-def _cycle(ctx: FieldCtx, lvl: _Level, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The orbit of the base point under the level's one generator g, by
-    cyclic doubling: with the first n points g^i p known, g^n maps them to
-    the next n, and g^n is squared. The orbit is a cycle, so the first point
-    that comes round again is p itself: were g^L p = g^j p with 0 < j < L,
-    then g^(L-j) p = p would have come round before. The transversal of
-    g^i p is g^i, and its inverse is (g^-1)^i, the elements that breadth-first
-    search assigns. Returns the keys in layer order, t and t_inv, raising
-    OverCapError before taking more than cap points."""
-    g, ginv = lvl.gens[0], lvl.gen_invs[0]
-    vecs = lvl.point[None]
-    keys = _point_keys(ctx, lvl.line, vecs)
-    t = t_inv = identity()[None]
-    while True:
-        take = min(len(vecs), cap + 1 - len(vecs))
-        imgs = mat_vec(ctx, g, vecs[:take])
-        img_keys = _point_keys(ctx, lvl.line, imgs)
-        back = np.flatnonzero(img_keys == keys[0])
-        new = back[0] if len(back) else take
-        keys = np.concatenate([keys, img_keys[:new]])
-        t = np.concatenate([t, mat_mul(ctx, g, t[:new])])
-        t_inv = np.concatenate([t_inv, mat_mul(ctx, t_inv[:new], ginv)])
-        if len(back):
-            return keys, t, t_inv
-        if len(keys) > cap:
-            raise OverCapError(f"orbit exceeds cap {cap}")
-        vecs = np.concatenate([vecs, imgs])
-        g, ginv = mat_mul(ctx, g, g), mat_mul(ctx, ginv, ginv)
-
-
 def _build_orbit(ctx: FieldCtx, lvl: _Level, cap: int) -> None:
-    """Orbit of the base point with its transversal, raising OverCapError
-    past cap points: by cyclic doubling (``_cycle``) on a level with one
-    generator, else breadth-first, one layer for all generators at once.
-    Each layer's transversal rows are appended in layer order, in the
-    compact dtype, and only the keys and the row numbers are kept sorted;
-    the rows are put in key order and widened to int64 once, at the end."""
-    if len(lvl.gens) == 1:
-        keys, t, t_inv = _cycle(ctx, lvl, cap)
-        order = np.argsort(keys)
-        lvl.keys, lvl.t, lvl.t_inv = keys[order], t[order], t_inv[order]
-        return
+    """Orbit of the base point p with its transversal, raising OverCapError
+    past cap points. Each step maps source points by step elements and
+    keeps the images not seen before; the transversal of a new point is the
+    step element times that of its source, and its inverse is the source's
+    inverse times the step element's.
+
+    With several generators the step elements are the generators and the
+    sources the points the last step found: breadth-first search, one layer
+    for all generators at once. With one generator g the orbit is a cycle,
+    built by cyclic doubling: the sources are all n points g^i p found so
+    far and the one step element is g^n, squared after each step, so t and
+    t_inv are g^i and (g^-1)^i, as breadth-first search assigns them. The
+    first image seen before is p itself (were g^L p = g^j p with 0 < j < L,
+    then g^(L-j) p = p would have come round first), so the cycle is closed
+    at the first step that meets one.
+
+    Rows are appended in the order found, in the compact dtype, and only
+    the keys are kept sorted; one argsort at the end puts the rows in key
+    order, widened to int64."""
     compact = _compact_dtype(ctx)
-    gens, ginvs = np.stack(lvl.gens), np.stack(lvl.gen_invs)
+    steps, step_invs = np.stack(lvl.gens), np.stack(lvl.gen_invs)
     vecs = lvl.point[None]
     keys = _point_keys(ctx, lvl.line, vecs)
-    rows = np.zeros(1, dtype=np.intp)  # rows[i]: layer-order row of keys[i]
     t = t_inv = identity()[None]
-    ts, t_invs = [t.astype(compact)], [t_inv.astype(compact)]
+    found, ts, t_invs = [keys], [t.astype(compact)], [t_inv.astype(compact)]
     while len(vecs):
-        imgs = mat_vec(ctx, gens[:, None], vecs[None]).reshape(-1, 4)
+        imgs = mat_vec(ctx, steps[:, None], vecs[None]).reshape(-1, 4)
         cand, first = np.unique(_point_keys(ctx, lvl.line, imgs), return_index=True)
         fresh = _find(keys, cand) < 0
         cand, first = cand[fresh], first[fresh]
         if len(keys) + len(cand) > cap:
             raise OverCapError(f"orbit exceeds cap {cap}")
-        g, f = np.divmod(first, len(vecs))
-        vecs = imgs[first]
-        t = mat_mul(ctx, gens[g], t[f])
-        t_inv = mat_mul(ctx, t_inv[f], ginvs[g])
-        pos = np.searchsorted(keys, cand)
-        keys = np.insert(keys, pos, cand)
-        rows = np.insert(rows, pos, np.arange(len(rows), len(rows) + len(cand)))
-        ts.append(t.astype(compact))
-        t_invs.append(t_inv.astype(compact))
+        s, f = np.divmod(first, len(vecs))  # step element and source of each new point
+        new = imgs[first], mat_mul(ctx, steps[s], t[f]), mat_mul(ctx, t_inv[f], step_invs[s])
+        keys = np.insert(keys, np.searchsorted(keys, cand), cand)
+        found.append(cand)
+        ts.append(new[1].astype(compact))
+        t_invs.append(new[2].astype(compact))
+        if len(steps) > 1:
+            vecs, t, t_inv = new
+        elif len(cand) == len(vecs):  # p has not come round: the sources double
+            vecs, t, t_inv = (np.concatenate(pair) for pair in zip((vecs, t, t_inv), new))
+            steps, step_invs = mat_mul(ctx, steps, steps), mat_mul(ctx, step_invs, step_invs)
+        else:
+            break
+    order = np.argsort(np.concatenate(found))
     lvl.keys = keys
-    lvl.t = np.concatenate(ts)[rows].astype(np.int64)
-    lvl.t_inv = np.concatenate(t_invs)[rows].astype(np.int64)
+    lvl.t = np.concatenate(ts)[order].astype(np.int64)
+    lvl.t_inv = np.concatenate(t_invs)[order].astype(np.int64)
 
 
-def _sift(ctx: FieldCtx, chain: list[_Level], start: int, mats: np.ndarray):
-    """Sift a stack of matrices through chain[start:]; returns their residues
-    and, for each, the first level it did not enter."""
+def _sift(ctx: FieldCtx, chain: list[_Level], start: int, mats: np.ndarray) -> np.ndarray:
+    """The residues of a stack of matrices sifted through chain[start:]. A
+    residue fixes the base points of the levels it entered, and moves that of
+    the level whose orbit it left."""
     work = np.asarray(mats, dtype=np.int64)
     res = np.empty_like(work)
-    stop = np.full(len(work), len(chain))
     live = np.arange(len(work))
-    for l in range(start, len(chain)):
-        lvl = chain[l]
+    for lvl in chain[start:]:
         pos = _find(lvl.keys, _point_keys(ctx, lvl.line, mat_vec(ctx, work, lvl.point)))
         out = pos < 0
-        stop[live[out]] = l
         res[live[out]] = work[out]
         live, work = live[~out], mat_mul(ctx, lvl.t_inv[pos[~out]], work[~out])
     res[live] = work
-    return res, stop
+    return res
 
 
 def _schreier_generators(ctx: FieldCtx, lvl: _Level) -> np.ndarray:
@@ -571,23 +559,26 @@ def _add_generator(
     ctx: FieldCtx,
     chain: list[_Level],
     m: np.ndarray,
-    levels: range,
+    start: int,
     candidates: list[tuple[np.ndarray, bool]],
 ) -> int:
-    """Add m and its inverse to the given levels and return the last of them.
-    Levels that run past the end of the chain are appended: there m fixes
-    every base point, and as the base is a prefix of the candidates, the
-    next candidates join it in order, up to the first one that m moves."""
-    while levels.stop > len(chain):
-        chain.append(_Level(*candidates[len(chain)]))
-        if _moves(ctx, chain[-1].point, chain[-1].line, m):
+    """Add m, which fixes the base points before level start, and its inverse
+    to every level from start up to the first whose base point m moves, and
+    return that level. Where m fixes every base point from start on, the
+    chain runs on: its base is a prefix of the candidates, so the next
+    candidates join it in order, up to the first one that m moves."""
+    last = start
+    while True:
+        if last == len(chain):
+            chain.append(_Level(*candidates[last]))
+        if _moves(ctx, chain[last].point, chain[last].line, m):
             break
-        levels = range(levels.start, levels.stop + 1)
+        last += 1
     minv = mat_inv(ctx, m)
-    for l in levels:
-        chain[l].gens.append(m)
-        chain[l].gen_invs.append(minv)
-    return levels.stop - 1
+    for lvl in chain[start : last + 1]:
+        lvl.gens.append(m)
+        lvl.gen_invs.append(minv)
+    return last
 
 
 def bsgs_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
@@ -603,18 +594,22 @@ def bsgs_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
     groups", J. Symbolic Comput. 19 (1995)). An orthogonal group's orbit on
     isotropic lines has about q^2 points, against about q^3 for its orbit on
     vectors. The standard basis vectors always follow; a group with no such
-    form, or with several, is based on them alone. The base is always a
-    prefix of the sequence: a generator that fixes every base point appends
-    the next candidates, up to the first one that it moves, and joins each
-    of the new levels (so a level can keep an orbit of one point). An orbit
-    of more than cap points raises OverCapError. The base only decides which
-    Schreier generators are sifted, so the order is exact whatever the base.
+    form, or with several, is based on them alone. One rule places every
+    strong generator, input or residue (``_add_generator``): it joins each
+    level from where it enters up to the first base point it moves, and one
+    that fixes every base point appends the next candidates, up to the first
+    one that it moves, so the base is always a prefix of the sequence (and a
+    level can keep an orbit of one point). Orbits are built by one loop
+    (``_build_orbit``): breadth-first, or by cyclic doubling on a level with
+    one generator. An orbit of more than cap points raises OverCapError. The
+    base only decides which Schreier generators are sifted, so the order is
+    exact whatever the base.
 
     Levels are completed from the last one up. A level's Schreier generators
     are formed once per orbit build, deduplicated and sifted through the
     levels below it in key order; the first one whose residue is not the
-    identity adds that residue to the levels it reached, and those levels
-    are built again. Residues depend only on the chain, so this is a
+    identity joins the chain from the level below on, and the levels it
+    joined are built again. Residues depend only on the chain, so this is a
     deterministic choice. Until its own generators change, a level keeps as
     its record the keys of the Schreier generators after the one whose
     residue was added, and a revisit sifts only those. That picks the same
@@ -629,12 +624,7 @@ def bsgs_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
     candidates = _base_candidates(ctx, np.stack(gens)) if gens else []
     chain: list[_Level] = []
     for g in gens:
-        # g belongs to every level up to the first base point it moves
-        moved = next(
-            (l for l, lvl in enumerate(chain) if _moves(ctx, lvl.point, lvl.line, g)),
-            len(chain),
-        )
-        _add_generator(ctx, chain, g, range(moved + 1), candidates)
+        _add_generator(ctx, chain, g, 0, candidates)
 
     ident = identity()
     # unsifted[l]: the sorted keys of level l's Schreier generators that are
@@ -645,14 +635,14 @@ def bsgs_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
         if i not in unsifted:
             _build_orbit(ctx, chain[i], cap)
             unsifted[i] = _schreier_generators(ctx, chain[i])
-        res, stop = _sift(ctx, chain, i + 1, _decode(ctx, unsifted[i]))
+        res = _sift(ctx, chain, i + 1, _decode(ctx, unsifted[i]))
         moved = np.flatnonzero((res != ident).any(axis=(1, 2)))
         if not len(moved):
             i -= 1
             continue
-        first, j = int(moved[0]), int(stop[moved[0]])
+        first = int(moved[0])
         unsifted[i] = unsifted[i][first + 1 :]
-        j = _add_generator(ctx, chain, res[first], range(i + 1, j + 1), candidates)
+        j = _add_generator(ctx, chain, res[first], i + 1, candidates)
         for l in range(i + 1, j + 1):
             unsifted.pop(l, None)
         i = j

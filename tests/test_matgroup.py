@@ -468,13 +468,15 @@ def cycle_oracle(ctx, lvl):
 def test_cyclic_doubling_matches_one_point_layers(q):
     # r0 fixes the line of e1 and moves e1 (orbits of 1 and 2 points); r0 r1
     # has order 5, and the Coxeter element r0 r1 r2 r3 makes orbits of 9, 18
-    # and 60 points, so the last doubling step takes only part of the points
+    # and 60 points, so the last doubling step takes only part of the points;
+    # r1 r2 r3, the Coxeter element of A3, makes a cycle of 4 points, which
+    # the second doubling step closes exactly, so the third finds nothing new
     ctx, gens = gens_of(3, *PRIMES[q])
     r0, r1, r2, r3 = gens
     l1, _ = _isotropic_pair(ctx, _invariant_form(ctx, gens))
     coxeter = mat_mul(ctx, mat_mul(ctx, r0, r1), mat_mul(ctx, r2, r3))
     lengths = set()
-    for g in (r0, mat_mul(ctx, r0, r1), coxeter):
+    for g in (r0, mat_mul(ctx, r0, r1), coxeter, mat_mul(ctx, mat_mul(ctx, r1, r2), r3)):
         for point, line in itertools.product((identity()[0], l1), (False, True)):
             lvl = matgroup._Level(point, line)
             lvl.gens, lvl.gen_invs = [g], [mat_inv(ctx, g)]
@@ -487,6 +489,7 @@ def test_cyclic_doubling_matches_one_point_layers(q):
                 matgroup._build_orbit(ctx, lvl, cap=len(keys) - 1)
             lengths.add(len(keys))
     assert {1, 2, 5} <= lengths
+    assert 4 in lengths
     assert any(n & (n - 1) and n > 8 for n in lengths)
 
 
@@ -505,14 +508,14 @@ def test_chain_through_cyclic_doubling_is_pinned(monkeypatch):
     # one-point BFS layers
     ctx, gens = gens_of(3, -12, -5)
     cycles = []
-    inner = matgroup._cycle
+    inner = matgroup._build_orbit
 
     def counted(ctx, lvl, cap):
-        out = inner(ctx, lvl, cap)
-        cycles.append(len(out[0]))
-        return out
+        inner(ctx, lvl, cap)
+        if len(lvl.gens) == 1:
+            cycles.append(len(lvl.keys))
 
-    monkeypatch.setattr(matgroup, "_cycle", counted)
+    monkeypatch.setattr(matgroup, "_build_orbit", counted)
     group = bsgs_group(ctx, gens)
     assert max(cycles) == 15_931
     assert group.order == 32_892_060_225_600
