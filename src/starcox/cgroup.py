@@ -12,7 +12,6 @@ from .builder import StarParams, generator_word, kept, reduced_generators, torus
 from .field import FieldCtx
 from .matgroup import (
     DEFAULT_CAP,
-    GroupHandle,
     bsgs_group,
     enumerate_group,
     is_identity,
@@ -63,15 +62,6 @@ class IntersectionReport:
         return all(self.rank3_checks) and all(self.rank4_checks)
 
 
-def distinguished(params: StarParams, omit, cap: int = DEFAULT_CAP) -> GroupHandle:
-    """Enumerate the subgroup generated by the generators not in omit."""
-    keep = kept(omit)
-    if len(keep) == 4:
-        raise ValueError("omit at least one generator index")
-    ctx, gens, _ = reduced_generators(params)
-    return enumerate_group(ctx, gens[keep], cap=cap)
-
-
 def _generator_gate(ctx: FieldCtx, gens: np.ndarray):
     """Hypothesis check: four distinct involutions.
 
@@ -96,11 +86,12 @@ def verify_cgroup(
     """Full intersection verification of one reduction.
 
     Enumerates every subgroup of _SUBGROUPS but G2, the largest rank-3 one,
-    which stays behind a stabilizer-chain membership test; the full group is
-    never touched. G_(I|J) lies in G_I & G_J by construction, so a check
-    fails exactly when an element of the intersection is not in G_(I|J),
-    and that element is the witness. generators replaces the reduced stack
-    for negative controls.
+    which stays a stabilizer chain; the full group is never touched.
+    G_(I|J) lies in G_I & G_J by construction, so each check compares
+    |G_I & G_J| with |G_(I|J)|. Membership in G_(I|J) runs only when a
+    check fails, to name the witness: the first element of the
+    intersection, in key order, outside G_(I|J). generators replaces the
+    reduced stack for negative controls.
     """
     ctx, gens, _ = reduced_generators(params)
     if generators is not None:
@@ -117,11 +108,11 @@ def verify_cgroup(
     checks, witness = [], None
     for i, j in _CHECKS:
         u = _union(i, j)
-        meet = groups[i].intersect(groups[j]).elements
-        inside = groups[u].contains_batch(meet)
-        checks.append(bool(inside.all()))
+        meet = groups[i].intersect(groups[j])
+        checks.append(meet.order == groups[u].order)
         if witness is None and not checks[-1]:
-            witness = meet[int(np.argmin(inside))]
+            elems = meet.elements
+            witness = elems[int(np.argmin(groups[u].contains_batch(elems)))]
             note = f"{_name(i)} meets {_name(j)} away from {_name(u)}"
 
     orders = {f"G{omit}": groups[omit].order for omit in _SUBGROUPS[:-1]}
@@ -159,8 +150,10 @@ def replacement_generator(params: StarParams, i: int = 0):
 def lemma41_check(params: StarParams, i: int = 0) -> bool:
     """Does replacing r2 by the conjugated reflection z regenerate the group?
 
-    Compares <r0,r1,r2,r3> with <r0,r1,z,r3> through stabilizer-chain orders
-    and mutual generator membership; neither group is enumerated.
+    Compares <r0,r1,r2,r3> with <r0,r1,z,r3> through stabilizer-chain
+    orders and one-way generator membership: r2 in <r0,r1,z,r3> puts the
+    full group inside it, and equal orders make the two equal. Neither
+    group is enumerated.
     """
     ctx, g, z = replacement_generator(params, i)
     full = bsgs_group(ctx, g)

@@ -8,12 +8,12 @@ as a void-dtype view of its compact entries where it does not (``_keys``). A
 set is a sorted key array, deduplicated by sorting and comparing neighbours
 (``sorted_unique``) and searched by ``_find``. An enumerated group is stored
 once, as the sorted keys of its elements, so the keys serve BFS
-deduplication, membership, intersection and element positions alike, and
-``elements`` decodes them on access. A BFS layer takes the keys of x g for
-every key x and generator g from ``_successors``: at q <= 16 by a table per
-generator from row codes to row codes, filled lazily through ``mat_mul``, so
-it never decodes a matrix, and above q = 16 by decoded products. The BFS is
-a frontier search: it also multiplies by the inverses of generators that are
+deduplication, membership and intersection alike, and ``elements`` decodes
+them on access. A BFS layer takes the keys of x g for every key x and
+generator g from ``_successors``: at q <= 16 by a table per generator from
+row codes to row codes, filled lazily through ``mat_mul``, so it never
+decodes a matrix, and above q = 16 by decoded products. The BFS is a
+frontier search: it also multiplies by the inverses of generators that are
 not involutions, so its Cayley graph is undirected, a layer's candidates can
 only meet the two layers before them, and the store is sorted once, at the
 end. A Schreier-Sims level acts on vectors or on lines, a line keyed by its
@@ -246,25 +246,12 @@ class GroupHandle:
         self._chain = chain
         self.order = len(keys) if keys is not None else math.prod(len(lvl.keys) for lvl in chain)
 
-    def _enumerated_keys(self) -> np.ndarray:
-        if self._sorted_keys is None:
-            raise ValueError("group is not enumerated")
-        return self._sorted_keys
-
     @property
     def elements(self) -> np.ndarray:
         """Every element as an int64 matrix, in key order; decoded on each access."""
-        return _decode(self.ctx, self._enumerated_keys())
-
-    def index(self, mats: np.ndarray) -> np.ndarray:
-        """Positions of the given matrices in ``elements``; ValueError on a non-member."""
-        pos = _find(self._enumerated_keys(), _keys(self.ctx, mats))
-        if (pos < 0).any():
-            raise ValueError("matrix is not a group element")
-        return pos
-
-    def contains(self, m: np.ndarray) -> bool:
-        return bool(self.contains_batch(m[None])[0])
+        if self._sorted_keys is None:
+            raise ValueError("group is not enumerated")
+        return _decode(self.ctx, self._sorted_keys)
 
     def contains_batch(self, mats: np.ndarray) -> np.ndarray:
         """Vectorized membership for a stack of matrices. On a chain a matrix
@@ -291,11 +278,9 @@ class GroupHandle:
         return GroupHandle(self.ctx, elems[inside], small._sorted_keys[inside])
 
     def same_group(self, other: GroupHandle) -> bool:
-        return (
-            self.order == other.order
-            and all(other.contains(g) for g in self.gens)
-            and all(self.contains(g) for g in other.gens)
-        )
+        """Equal orders and self's generators in other: then self lies in
+        other, and a subgroup of equal order is the whole group."""
+        return self.order == other.order and bool(other.contains_batch(self.gens).all())
 
 
 def enumerate_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
@@ -463,10 +448,10 @@ def _moves(ctx: FieldCtx, point: np.ndarray, line: bool, m: np.ndarray) -> bool:
 def _base_candidates(ctx: FieldCtx, gens: np.ndarray) -> list[tuple[np.ndarray, bool]]:
     """The base points a chain draws from, in order: when the generators
     preserve a single nondegenerate symmetric form, up to scalars, over a
-    field of odd order, two
-    isotropic points l1 and l2 with B(l1, l2) != 0 give l1 as a line, l2 as a
-    line and l1 as a vector; the standard basis vectors always follow, so
-    that only the identity fixes every candidate. Each is a pair (point, line)."""
+    field of odd order, two isotropic points l1 and l2 with B(l1, l2) != 0
+    give l1 as a line, l2 as a line and l1 as a vector; the standard basis
+    vectors always follow, so that only the identity fixes every candidate.
+    Each is a pair (point, line)."""
     basis = [(e, False) for e in identity()]
     # the isotropic search divides by 2
     form = _invariant_form(ctx, gens) if ctx.q % 2 else None

@@ -153,8 +153,9 @@ def incidence_report(
     keeps incidence, so what holds at one face holds at all. The B-faces
     that meet the A-face Ax are the cosets By with y in BAx, and there are
     |A : A ∩ B| of them. So edges_ok says |E : E ∩ B| == 2 for B = P and
-    Q, and checks that the generator r of E outside B maps E ∩ B into
-    E but off B: the two B-cells at the base edge are B and B r.
+    Q, and checks that the generator r of E outside B maps E ∩ B off B
+    (into E it maps it always, as r and E ∩ B lie in E): the two B-cells
+    at the base edge are B and B r.
     vertex_profile is the one pair (|V : V ∩ P|, |V : V ∩ Q|), and
     crossfoot_ok, that the cells of a family meet equally many edges,
     holds by transitivity. Only the stabilizers are enumerated, each
@@ -172,16 +173,10 @@ def _incidence(params: StarParams, ringed_node: int, groups: dict[str, GroupHand
         meet = edge.intersect(groups[cell])
         (r,) = set(kept(faces["edge"])) - set(kept(faces[cell]))
         other = mat_mul(ctx, meet.elements, gens[r])
-        return bool(
-            edge.order == 2 * meet.order
-            and edge.contains_batch(other).all()
-            and not groups[cell].contains_batch(other).any()
-        )
+        return edge.order == 2 * meet.order and not groups[cell].contains_batch(other).any()
 
-    profile = tuple(
-        _index(vertex.order, vertex.intersect(groups[c]).order, f"vertex and {c} stabilizer intersection")
-        for c in ("P-cell", "Q-cell")
-    )
+    # V & B is a subgroup of V, so by Lagrange its order divides |V|
+    profile = tuple(vertex.order // vertex.intersect(groups[c]).order for c in ("P-cell", "Q-cell"))
     return IncidenceReport(alternates("P-cell") and alternates("Q-cell"), (profile,), True)
 
 

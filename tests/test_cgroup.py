@@ -7,7 +7,8 @@ import pytest
 
 from starcox.builder import K_INF, StarParams, kept, reduced_generators
 from starcox.cgroup import (
-    distinguished,
+    _CHECKS,
+    _union,
     lemma41_check,
     replacement_generator,
     verify_cgroup,
@@ -89,22 +90,69 @@ def test_negative_control_repeated_generator():
     assert rep.witness is not None
 
 
+def corrupted_generators():
+    """The reduced generators at k = 3, 3+t with r2 replaced by the
+    involution r1 r0 r1."""
+    ctx, gens, _ = reduced_generators(params(3, P11))
+    r = mat_mul(ctx, mat_mul(ctx, gens[1], gens[0]), gens[1])
+    return np.stack([gens[0], gens[1], r, gens[3]])
+
+
 def test_negative_control_intersection_witness():
-    # r2 replaced by the involution r1 r0 r1 passes the generator gate, so
-    # the failure is found by the intersection checks themselves
+    # the corrupted generators pass the generator gate, so the failure is
+    # found by the intersection checks themselves
     p = params(3, P11)
     ctx, gens, _ = reduced_generators(p)
-    r = mat_mul(ctx, mat_mul(ctx, gens[1], gens[0]), gens[1])
-    corrupted = np.stack([gens[0], gens[1], r, gens[3]])
+    corrupted = corrupted_generators()
     rep = verify_cgroup(p, generators=corrupted)
     assert rep.rank3_checks == (True, True, False)
     assert rep.rank4_checks == (False, True, True)
     assert rep.witness_note == "G03 meets G23 away from <r1>"
     w = rep.witness
-    assert enumerate_group(ctx, corrupted[kept("03")]).contains(w)
-    assert enumerate_group(ctx, corrupted[kept("23")]).contains(w)
+    assert enumerate_group(ctx, corrupted[kept("03")]).contains_batch(w[None])[0]
+    assert enumerate_group(ctx, corrupted[kept("23")]).contains_batch(w[None])[0]
     assert not np.array_equal(w, gens[1])
     assert not np.array_equal(w, identity())
+
+
+def membership_oracle(ctx, gens):
+    """The six checks and the witness by the membership rule: a check holds
+    when every element of G_I & G_J lies in G_(I|J), and the witness is the
+    first element of the first failing intersection, in key order, outside
+    G_(I|J). Every subgroup is enumerated."""
+    checks, witness = [], None
+    for i, j in _CHECKS:
+        meet = enumerate_group(ctx, gens[kept(i)]).intersect(enumerate_group(ctx, gens[kept(j)]))
+        elems = meet.elements
+        inside = enumerate_group(ctx, gens[kept(_union(i, j))]).contains_batch(elems)
+        checks.append(bool(inside.all()))
+        if witness is None and not checks[-1]:
+            witness = elems[int(np.argmin(inside))]
+    return tuple(checks), witness
+
+
+ORACLE_ROWS = [
+    *(pytest.param(k, p, False, id=f"k{k}-q{q}")
+      for q, p in ((4, P2), (5, SQRT5), (9, P3), (11, P11)) for k in (3, 4, 5, 6)),
+    pytest.param(K_INF, SQRT5, False, id="kinf-q5"),
+    pytest.param(K_INF, P3, False, id="kinf-q9"),
+    pytest.param(3, P11, True, id="corrupted-k3-q11"),
+]
+
+
+@pytest.mark.parametrize("k,p,corrupt", ORACLE_ROWS)
+def test_order_checks_match_membership_oracle(k, p, corrupt):
+    ctx, gens, _ = reduced_generators(params(k, p))
+    if corrupt:
+        gens = corrupted_generators()
+    rep = verify_cgroup(params(k, p), generators=gens)
+    checks, witness = membership_oracle(ctx, gens)
+    assert rep.rank3_checks + rep.rank4_checks == checks
+    if witness is None:
+        assert rep.witness is None
+    else:
+        assert np.array_equal(rep.witness, witness)
+    assert all(checks) == (not corrupt)
 
 
 def test_negative_control_non_involution():
@@ -116,14 +164,13 @@ def test_negative_control_non_involution():
 
 
 def test_distinguished_subgroup_enumeration():
-    g03 = distinguished(params(4, SQRT5), omit=(0, 3))
+    ctx, gens, _ = reduced_generators(params(4, SQRT5))
+    g03 = enumerate_group(ctx, gens[kept((0, 3))])
     assert g03.order == 6
-    g2 = distinguished(params(4, SQRT5), omit=(2,))
+    g2 = enumerate_group(ctx, gens[kept((2,))])
     assert g2.order == 240
     with pytest.raises(ValueError):
-        distinguished(params(4, SQRT5), omit=())
-    with pytest.raises(ValueError):
-        distinguished(params(4, SQRT5), omit=(5,))
+        kept((5,))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Every module of the library and of the tests uses each name it imports,
-every definition in the library is referenced somewhere, and the library
-never asks numpy for a bare ``np.unique``."""
+the package's ``__all__`` lists exactly what it imports, every definition in
+the library is referenced somewhere, and the library never asks numpy for a
+bare ``np.unique``."""
 
 from __future__ import annotations
 
@@ -33,6 +34,19 @@ def test_no_unused_imports():
         for name, line in unused_imports(ast.parse(p.read_text(encoding="utf-8")))
     ]
     assert unused == []
+
+
+def test_package_all_lists_its_imports():
+    # a stale entry would make ``from starcox import *`` raise AttributeError
+    import starcox
+
+    tree = ast.parse((ROOT / "src" / "starcox" / "__init__.py").read_text(encoding="utf-8"))
+    imported = [a.asname or a.name for n in tree.body if isinstance(n, ast.ImportFrom)
+                for a in n.names]
+    assert len(starcox.__all__) == len(set(starcox.__all__))
+    assert sorted(starcox.__all__) == sorted([*imported, "__version__"])
+    for name in starcox.__all__:
+        getattr(starcox, name)
 
 
 def referenced_names(tree: ast.Module) -> set[str]:

@@ -193,7 +193,7 @@ def test_enumerated_element_set_is_pinned(k, prime, subset, order, digest):
     elems = pairs[group.elements].reshape(-1, 32)
     elems = elems[np.lexsort(elems.T[::-1])]
     assert hashlib.sha256(elems.tobytes()).hexdigest() == digest
-    assert np.array_equal(group.index(group.elements), np.arange(order))
+    assert np.array_equal(_find(group._sorted_keys, _keys(ctx, group.elements)), np.arange(order))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +385,7 @@ def test_bsgs_membership_agrees_with_enumeration():
     full = enumerate_group(ctx, gens)
     outside = []
     for m in full.elements[RNG.choice(full.order, size=400)]:
-        if not bfs.contains(m):
+        if not bfs.contains_batch(m[None])[0]:
             outside.append(m)
         if len(outside) == 40:
             break
@@ -393,8 +393,8 @@ def test_bsgs_membership_agrees_with_enumeration():
     assert not chain.contains_batch(outside).any()
     singular = identity()
     singular[0] = 0
-    assert not chain.contains(singular)
-    assert not bfs.contains(singular)
+    assert not chain.contains_batch(singular[None])[0]
+    assert not bfs.contains_batch(singular[None])[0]
 
 
 def test_uint16_keys_index_and_membership():
@@ -404,17 +404,15 @@ def test_uint16_keys_index_and_membership():
     d3 = enumerate_group(ctx, gens[[1, 2]])
     assert d3.order == 6
     elems = d3.elements
-    assert np.array_equal(d3.index(elems), np.arange(d3.order))
+    assert np.array_equal(_find(d3._sorted_keys, _keys(ctx, elems)), np.arange(d3.order))
     assert d3.contains_batch(elems).all()
     outsider = mat_mul(ctx, gens[0], gens[1])
-    assert not d3.contains(outsider)
-    with pytest.raises(ValueError):
-        d3.index(np.stack([elems[0], outsider]))
+    assert not d3.contains_batch(outsider[None])[0]
     # the chain's orbit keys hold vectors, also two bytes per entry
     chain = bsgs_group(ctx, gens[[1, 2]])
     assert chain.order == 6
     assert chain.contains_batch(elems).all()
-    assert not chain.contains(outsider)
+    assert not chain.contains_batch(outsider[None])[0]
 
 
 # the chain's base opens with l1 as a line, l2 as a line and l1 as a vector,
@@ -703,3 +701,26 @@ def test_same_group_detects_difference():
     b = enumerate_group(ctx, gens[[1, 2]])
     assert not a.same_group(b)
     assert a.same_group(enumerate_group(ctx, gens[[1, 0]]))
+
+
+def test_same_group_makes_one_membership_call(monkeypatch):
+    # G0 at k = 6, 3+t: an intersection handle lists every element as a
+    # generator, so one call per generator would make 1,452 of them
+    ctx, gens = gens_of(6, 3, 1)
+    g = enumerate_group(ctx, gens[kept("0")])
+    assert g.order == 1452
+    meet = g.intersect(g)
+    calls = []
+    contains_batch = matgroup.GroupHandle.contains_batch
+
+    def counted(self, mats):
+        calls.append(len(mats))
+        return contains_batch(self, mats)
+
+    monkeypatch.setattr(matgroup.GroupHandle, "contains_batch", counted)
+    assert meet.same_group(g)
+    assert calls == [1452]
+    # equal orders, different groups: the membership test decides
+    a, b = enumerate_group(ctx, gens[[0, 2]]), enumerate_group(ctx, gens[[0, 3]])
+    assert a.order == b.order == 4
+    assert not a.same_group(b)

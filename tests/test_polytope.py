@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from starcox.builder import StarParams, kept, reduced_generators
-from starcox.cgroup import distinguished
 from starcox.classify import classify_rank4
-from starcox.matgroup import DEFAULT_CAP, OverCapError, enumerate_group, mat_mul
+from starcox.matgroup import DEFAULT_CAP, OverCapError, _find, _keys, enumerate_group, mat_mul
 from starcox.polytope import IncidenceReport, face_counts, incidence_report
 from starcox.ring import GoldenInt, classify_prime
 
@@ -48,11 +47,12 @@ def test_counts_are_subgroup_indices():
     p = params(3, SQRT5)
     n = classify_rank4(p).predicted_order
     st = face_counts(p, ringed_node=0)
-    assert st.vertices * distinguished(p, omit=(0,)).order == n
-    assert st.edges * distinguished(p, omit=(1,)).order == n
-    assert st.subfacets * distinguished(p, omit=(2, 3)).order == n
-    assert st.cells_p * distinguished(p, omit=(3,)).order == n
-    assert st.cells_q * distinguished(p, omit=(2,)).order == n
+    ctx, gens, _ = reduced_generators(p)
+    assert st.vertices * enumerate_group(ctx, gens[kept((0,))]).order == n
+    assert st.edges * enumerate_group(ctx, gens[kept((1,))]).order == n
+    assert st.subfacets * enumerate_group(ctx, gens[kept((2, 3))]).order == n
+    assert st.cells_p * enumerate_group(ctx, gens[kept((3,))]).order == n
+    assert st.cells_q * enumerate_group(ctx, gens[kept((2,))]).order == n
 
 
 def test_both_ringings_share_edges():
@@ -136,7 +136,7 @@ def oracle(p) -> dict:
     elems = group.elements
     step = 1 << 16
     perms = [
-        np.concatenate([group.index(mat_mul(ctx, elems[i : i + step], g))
+        np.concatenate([_find(group._sorted_keys, _keys(ctx, mat_mul(ctx, elems[i : i + step], g)))
                         for i in range(0, group.order, step)])
         for g in gens
     ]
@@ -186,9 +186,10 @@ def test_incidence_past_the_full_group_cap(ring, profile):
     # double count of incident (vertex, cell) pairs
     st = face_counts(p, ring)
     _, omit_p, omit_q, omit_v = ORACLE_FACES[ring]
-    vertex = distinguished(p, omit=omit_v)
+    ctx, gens, _ = reduced_generators(p)
+    vertex = enumerate_group(ctx, gens[kept(omit_v)])
     for cells, omit, per_vertex in ((st.cells_p, omit_p, profile[0]), (st.cells_q, omit_q, profile[1])):
-        cell = distinguished(p, omit=omit)
+        cell = enumerate_group(ctx, gens[kept(omit)])
         assert st.vertices * per_vertex == cells * (cell.order // cell.intersect(vertex).order)
 
 
