@@ -12,6 +12,7 @@ from .builder import StarParams, generator_word, kept, reduced_generators, torus
 from .field import FieldCtx
 from .matgroup import (
     DEFAULT_CAP,
+    OverCapError,
     bsgs_group,
     enumerate_group,
     is_identity,
@@ -85,11 +86,16 @@ def verify_cgroup(
 ) -> IntersectionReport:
     """Full intersection verification of one reduction.
 
-    Enumerates every subgroup of _SUBGROUPS but G2, the largest rank-3 one,
-    which stays a stabilizer chain; the full group is never touched.
-    G_(I|J) lies in G_I & G_J by construction, so each check compares
-    |G_I & G_J| with |G_(I|J)|. Membership in G_(I|J) runs only when a
-    check fails, to name the witness: the first element of the
+    G0 and G2, the two rank-3 subgroups across the k-edge r1-r3 and the only
+    ones whose order grows with q (``classify_rank3``), are stabilizer
+    chains; every other subgroup of _SUBGROUPS is a finite Coxeter group of
+    order at most 120 and is enumerated. The full group is never touched.
+    G0 is held to the cap by its order, as its closure was, before G2 is
+    built, so verification raises OverCapError at the same caps as when G0
+    was enumerated. G_(I|J) lies in G_I & G_J by construction, so each check
+    compares |G_I & G_J| with |G_(I|J)|; an intersection lists its smaller
+    side in batches (``GroupHandle.intersect``). Membership in G_(I|J) runs
+    only when a check fails, to name the witness: the first element of the
     intersection, in key order, outside G_(I|J). generators replaces the
     reduced stack for negative controls.
     """
@@ -100,11 +106,12 @@ def verify_cgroup(
     if bad is not None:
         return IntersectionReport((False,) * 3, (False,) * 3, bad, note, {})
 
-    groups = {
-        omit: bsgs_group(ctx, gens[kept(omit)], cap=cap) if omit == "2"
-        else enumerate_group(ctx, gens[kept(omit)], cap=cap)
-        for omit in _SUBGROUPS
-    }
+    groups = {}
+    for omit in _SUBGROUPS:
+        build = bsgs_group if omit in ("0", "2") else enumerate_group
+        groups[omit] = build(ctx, gens[kept(omit)], cap=cap)
+        if omit == "0" and groups[omit].order > cap:
+            raise OverCapError(f"closure exceeds cap {cap}")
     checks, witness = [], None
     for i, j in _CHECKS:
         u = _union(i, j)

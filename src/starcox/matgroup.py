@@ -29,7 +29,10 @@ of the symmetric form that the generators preserve, derived from the
 generators themselves, where there is a single nondegenerate one.
 Schreier-Sims is incremental: a level's Schreier generators are formed once
 per orbit build, and a revisit sifts only those after the one whose residue
-was last added.
+was last added. An intersection lists the side of smaller order, from either
+backend, BATCH elements at a time (slices of an enumerated group's keys, or
+products of a chain's transversals), and keeps those the other side
+contains; listing a chain is bounded by the cap it was built with.
 """
 
 from __future__ import annotations
@@ -42,9 +45,10 @@ from .field import FieldCtx
 
 DEFAULT_CAP = 2_500_000
 # matrices per chunk where a call would otherwise scale with the group: the
-# products of closure layers above q = 16, ``contains_batch`` and
-# ``_schreier_generators``. Orbit steps and level sifts are not chunked;
-# they scale with an orbit, so the orbit cap bounds them
+# products of closure layers above q = 16, the elements an intersection
+# lists, ``contains_batch`` and ``_schreier_generators``. Orbit steps and
+# level sifts are not chunked; they scale with an orbit, so the orbit cap
+# bounds them
 BATCH = 1 << 13
 
 
@@ -231,17 +235,20 @@ def _successors(ctx: FieldCtx, gens: np.ndarray):
 class GroupHandle:
     """A finite matrix group: enumerated when it holds the sorted keys of its
     elements, else a BSGS chain; the order is the number of keys, or the
-    product of the chain's orbit sizes."""
+    product of the chain's orbit sizes. cap is the cap the group was built
+    with, and it also bounds the elements that may be listed from a chain."""
 
     def __init__(
         self,
         ctx: FieldCtx,
         gens: np.ndarray,
+        cap: int,
         keys: np.ndarray | None = None,
         chain: list[_Level] | None = None,
     ):
         self.ctx = ctx
         self.gens = gens
+        self.cap = cap
         self._sorted_keys = keys
         self._chain = chain
         self.order = len(keys) if keys is not None else math.prod(len(lvl.keys) for lvl in chain)
@@ -252,6 +259,38 @@ class GroupHandle:
         if self._sorted_keys is None:
             raise ValueError("group is not enumerated")
         return _decode(self.ctx, self._sorted_keys)
+
+    def _batches(self):
+        """Every element once, as int64 matrices, at most BATCH at a time. An
+        enumerated group decodes slices of its keys. A chain lists the
+        products t_0[i_0] t_1[i_1] ... of its transversals, skipping levels
+        of one point: the products of the lower levels are formed once,
+        while they fit in BATCH, and the upper levels are indexed by mixed
+        radix, BATCH // len(tail) at a time, so a listed element costs about
+        one product. Listing a group whose order exceeds its cap raises
+        OverCapError before any product."""
+        if self.order > self.cap:
+            raise OverCapError(f"closure exceeds cap {self.cap}")
+        ctx = self.ctx
+        if self._sorted_keys is not None:
+            for i in range(0, self.order, BATCH):
+                yield _decode(ctx, self._sorted_keys[i : i + BATCH])
+            return
+        levels = [lvl.t for lvl in self._chain if len(lvl.t) > 1]
+        tail = identity()[None]
+        while levels and len(tail) * len(levels[-1]) <= BATCH:
+            tail = mat_mul(ctx, levels.pop()[:, None], tail[None]).reshape(-1, 4, 4)
+        if not levels:
+            yield tail
+            return
+        radix = [len(t) for t in levels]
+        step, heads = BATCH // len(tail), math.prod(radix)
+        for start in range(0, heads, step):
+            digits = np.unravel_index(np.arange(start, min(start + step, heads)), radix)
+            head = levels[0][digits[0]]
+            for t, d in zip(levels[1:], digits[1:]):
+                head = mat_mul(ctx, head, t[d])
+            yield mat_mul(ctx, head[:, None], tail[None]).reshape(-1, 4, 4)
 
     def contains_batch(self, mats: np.ndarray) -> np.ndarray:
         """Vectorized membership for a stack of matrices. On a chain a matrix
@@ -269,13 +308,14 @@ class GroupHandle:
         return out
 
     def intersect(self, other: GroupHandle) -> GroupHandle:
-        """Intersection, listed from the smaller enumerated side."""
-        small, big = self, other
-        if small._sorted_keys is None or (big._sorted_keys is not None and big.order < small.order):
-            small, big = big, small
-        elems = small.elements
-        inside = big.contains_batch(elems)
-        return GroupHandle(self.ctx, elems[inside], small._sorted_keys[inside])
+        """Intersection, enumerated. The side of smaller order (self on a
+        tie), whichever backend holds it, is listed BATCH elements at a time
+        (``_batches``), and the meet is the sorted keys of the listed
+        elements that the other side contains."""
+        small, big = (other, self) if other.order < self.order else (self, other)
+        keys = [_keys(self.ctx, m[big.contains_batch(m)]) for m in small._batches()]
+        meet = np.sort(np.concatenate(keys))
+        return GroupHandle(self.ctx, _decode(self.ctx, meet), small.cap, meet)
 
     def same_group(self, other: GroupHandle) -> bool:
         """Equal orders and self's generators in other: then self lies in
@@ -312,7 +352,7 @@ def enumerate_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
         layers.append(frontier)
     store = np.concatenate(layers)
     store.sort()
-    return GroupHandle(ctx, gens, store)
+    return GroupHandle(ctx, gens, cap, store)
 
 
 def _invariant_form(ctx: FieldCtx, gens: np.ndarray) -> np.ndarray | None:
@@ -631,4 +671,4 @@ def bsgs_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
         for l in range(i + 1, j + 1):
             unsifted.pop(l, None)
         i = j
-    return GroupHandle(ctx, np.stack(gens) if gens else ident[None], chain=chain)
+    return GroupHandle(ctx, np.stack(gens) if gens else ident[None], cap, chain=chain)

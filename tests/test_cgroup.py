@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from starcox.builder import K_INF, StarParams, kept, reduced_generators
+from starcox.classify import classify_rank3
 from starcox.cgroup import (
     _CHECKS,
     _union,
@@ -14,7 +15,7 @@ from starcox.cgroup import (
     verify_cgroup,
 )
 from starcox.matgroup import element_order, enumerate_group, identity, mat_mul, mat_vec
-from starcox.ring import GoldenInt, classify_prime
+from starcox.ring import GoldenInt, PrimeClass, classify_prime, primes_up_to_norm
 
 SQRT5 = classify_prime(GoldenInt(-1, 2))
 P2 = classify_prime(GoldenInt(2, 0))
@@ -153,6 +154,19 @@ def test_order_checks_match_membership_oracle(k, p, corrupt):
     else:
         assert np.array_equal(rep.witness, witness)
     assert all(checks) == (not corrupt)
+
+
+ODD_PRIMES_41 = [p for p in primes_up_to_norm(41) if p.klass is not PrimeClass.EVEN]
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_41, ids=lambda p: str(p.value))
+def test_chain_orders_match_rank3_classification(p):
+    # G0 and G2 are stabilizer chains in verify_cgroup; their orders get a
+    # second path from the rank-3 classification
+    for k in (3, 4, 5, 6):
+        orders = verify_cgroup(params(k, p)).subgroup_orders
+        assert orders["G0"] == classify_rank3(0, params(k, p)).predicted_order
+        assert orders["G2"] == classify_rank3(2, params(k, p)).predicted_order
 
 
 def test_negative_control_non_involution():

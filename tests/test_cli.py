@@ -115,6 +115,23 @@ def test_chain_orbit_honors_cap(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "prime,cap",
+    [("-7-2t", "10000"), ("-7-2t", "3500"), ("3+1t", "1400")],
+    ids=["q59-g0-listed", "q59-before-g2-orbit", "q11-g2-listed"],
+)
+def test_g0_order_honors_cap(capsys, prime, cap):
+    # k = 6, G0 a stabilizer chain whose order passes the cap while its
+    # orbits fit it: 41,772 elements in orbits of at most 3,481 points at
+    # q = 59, 1,452 in orbits of at most 121 at q = 11. G0's order stops the
+    # run, as its closure did, with the closure's message: at cap 3500 before
+    # G2's 3,540-point orbit is built, and at q = 11 although the smaller
+    # side of G0 & G2, which is listed, is G2 (1,320 elements)
+    rc, _, err = run(capsys, "verify", "--k", "6", "--prime", prime, "--cap", cap)
+    assert rc == 4
+    assert f"closure exceeds cap {cap}" in err
+
+
 def test_field_too_large_exits_3(capsys):
     # q = 3,037,000,579 >= 2^30: int64 products would overflow
     for cmd in ("classify", "verify"):

@@ -695,6 +695,56 @@ def test_intersect_with_bsgs_side():
     assert meet.same_group(enumerate_group(ctx, gens[[1, 3]]))
 
 
+@pytest.mark.parametrize("batch", (8, 64))
+@pytest.mark.parametrize("q,listed", ((11, "2"), (19, "0")))
+def test_intersect_streams_the_smaller_side(q, listed, batch, monkeypatch):
+    # k = 6: at q = 11, |G0| = 1,452 > |G2| = 1,320, so G2 is the listed
+    # side; at q = 19, G0 is. A BATCH of 8 leaves two chain levels to index
+    # by mixed radix, 64 one
+    ctx, gens = gens_of(6, *PRIMES[q])
+    bfs = {o: enumerate_group(ctx, gens[kept(o)]) for o in "02"}
+    chains = {o: bsgs_group(ctx, gens[kept(o)]) for o in "02"}
+    want = np.intersect1d(bfs["0"]._sorted_keys, bfs["2"]._sorted_keys)
+    monkeypatch.setattr(matgroup, "BATCH", batch)
+    calls = []
+    contains_batch = matgroup.GroupHandle.contains_batch
+
+    def bounded(self, mats):
+        assert len(mats) <= batch
+        calls.append((self, len(mats)))
+        return contains_batch(self, mats)
+
+    monkeypatch.setattr(matgroup.GroupHandle, "contains_batch", bounded)
+    for g0, g2 in ((chains["0"], chains["2"]), (bfs["0"], chains["2"]), (chains["0"], bfs["2"])):
+        calls.clear()
+        meet = g0.intersect(g2)
+        assert np.array_equal(meet._sorted_keys, want)
+        small, big = (g2, g0) if listed == "2" else (g0, g2)
+        assert all(h is big for h, _ in calls)
+        assert sum(n for _, n in calls) == small.order
+
+
+def test_chain_listing_honors_cap(monkeypatch):
+    # G0 at k = 6, 3+t: its orbits of 121, 6 and 2 points fit a cap of 200,
+    # but its 1,452 elements do not, so listing it raises before any product
+    ctx, gens = gens_of(6, 3, 1)
+    g0 = bsgs_group(ctx, gens[kept("0")], cap=200)
+    full = bsgs_group(ctx, gens)
+    products = []
+
+    def counted(*args):
+        products.append(args)
+        return mat_mul(*args)
+
+    monkeypatch.setattr(matgroup, "mat_mul", counted)
+    with pytest.raises(OverCapError, match="closure exceeds cap 200"):
+        g0.intersect(full)
+    assert not products
+    # G0 & G3 lists H3, the smaller side, within its cap: the meet is G03
+    g3 = enumerate_group(ctx, gens[kept("3")])
+    assert g3.intersect(g0).order == enumerate_group(ctx, gens[kept("03")]).order
+
+
 def test_same_group_detects_difference():
     ctx, gens = gens_of(4, -1, 2)
     a = enumerate_group(ctx, gens[[0, 1]])
