@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builder import StarParams, generator_word, kept, reduced_generators, torus_words
+from .classify import confirm_order, subgroup_backend
 from .field import FieldCtx
 from .matgroup import (
     DEFAULT_CAP,
@@ -86,18 +87,18 @@ def verify_cgroup(
 ) -> IntersectionReport:
     """Full intersection verification of one reduction.
 
-    G0 and G2, the two rank-3 subgroups across the k-edge r1-r3 and the only
-    ones whose order grows with q (``classify_rank3``), are stabilizer
-    chains; every other subgroup of _SUBGROUPS is a finite Coxeter group of
-    order at most 120 and is enumerated. The full group is never touched.
-    G0 is held to the cap by its order, as its closure was, before G2 is
-    built, so verification raises OverCapError at the same caps as when G0
-    was enumerated. G_(I|J) lies in G_I & G_J by construction, so each check
-    compares |G_I & G_J| with |G_(I|J)|; an intersection lists its smaller
-    side in batches (``GroupHandle.intersect``). Membership in G_(I|J) runs
-    only when a check fails, to name the witness: the first element of the
-    intersection, in key order, outside G_(I|J). generators replaces the
-    reduced stack for negative controls.
+    Each subgroup of _SUBGROUPS is a closure or a stabilizer chain by
+    ``classify.subgroup_backend``: G0 and G2 are chains when their predicted
+    order passes min(ENUMERATE_LIMIT, cap), and the rest, of order at most
+    160, are enumerated. The full group is never touched. G0 and G2 are
+    compared with their predicted orders (OrderMismatchError), except when
+    generators replaces the reduced stack for negative controls. G0 is held
+    to the cap by its order, as its closure is, before G2 is built. G_(I|J)
+    lies in G_I & G_J by construction, so each check compares |G_I & G_J|
+    with |G_(I|J)|; an intersection lists its smaller side in batches
+    (``GroupHandle.intersect``). Membership in G_(I|J) runs only when a
+    check fails, to name the witness: the first element of the intersection,
+    in key order, outside G_(I|J).
     """
     ctx, gens, _ = reduced_generators(params)
     if generators is not None:
@@ -108,8 +109,9 @@ def verify_cgroup(
 
     groups = {}
     for omit in _SUBGROUPS:
-        build = bsgs_group if omit in ("0", "2") else enumerate_group
-        groups[omit] = build(ctx, gens[kept(omit)], cap=cap)
+        chain, want = subgroup_backend(params, omit, cap)
+        group = (bsgs_group if chain else enumerate_group)(ctx, gens[kept(omit)], cap=cap)
+        groups[omit] = confirm_order(group, want if generators is None else None, _name(omit))
         if omit == "0" and groups[omit].order > cap:
             raise OverCapError(f"closure exceeds cap {cap}")
     checks, witness = [], None

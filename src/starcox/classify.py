@@ -7,12 +7,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .builder import K_INF, StarParams, gram, reduced_generators, rho, torus_words
-from .matgroup import element_order, identity, mat_inv, mat_mul
+from .matgroup import GroupHandle, element_order, identity, mat_inv, mat_mul
 from .ring import GoldenInt, GoldenPrime, PrimeClass, golden_legendre, rational_legendre
+
+
+# Subgroups predicted to have more elements are built as stabilizer chains.
+# Build times cross between 2,640 elements (k = 4 G2 at q = 11: closure 2.6 ms,
+# chain 5.6 ms) and 4,332 (k = 6 G0 at q = 19: 11.1 against 6.4 ms). The
+# benchmark's polytope rows build no chain, so it stays at least 1,620 (k = 6
+# G2 at 3).
+ENUMERATE_LIMIT = 4_000
 
 
 class SingularFormError(ValueError):
     """The reduced bilinear form is singular outside the known exceptional cases."""
+
+
+class OrderMismatchError(ArithmeticError):
+    """A group order built from the generators contradicts the classification:
+    a failed verification, not a fault of the program."""
 
 
 @dataclass(frozen=True)
@@ -142,6 +155,31 @@ def classify_rank3(i: int, params: StarParams) -> Classification:
     sigma = golden_legendre(GoldenInt(mu, 0), p)
     dlt = delta(k, p, mu)
     return _orthogonal(3, p.q, 0, _orthogonal_family(sigma, dlt), dlt)
+
+
+def subgroup_backend(params: StarParams, omit: str, cap: int) -> tuple[bool, int | None]:
+    """How to build the distinguished subgroup G_omit, which omits the
+    generators in omit (``builder.kept``): (as a stabilizer chain?, predicted
+    order or None).
+
+    G0 and G2, the rank-3 subgroups across the k-edge r1-r3 and the only ones
+    whose order grows with q, take ``classify_rank3``'s order, and are chains
+    when it passes min(ENUMERATE_LIMIT, cap). Every other subgroup has at most
+    120 elements, and every subgroup at most 160 where there is no prediction
+    (the even prime, k = inf); those are enumerated.
+    """
+    if omit not in ("0", "2") or params.k == K_INF or params.prime.klass is PrimeClass.EVEN:
+        return False, None
+    order = classify_rank3(int(omit), params).predicted_order
+    return order > min(ENUMERATE_LIMIT, cap), order
+
+
+def confirm_order(group: GroupHandle, predicted: int | None, what: str) -> GroupHandle:
+    """group, once its order equals the predicted one (when there is one);
+    otherwise OrderMismatchError names what was built."""
+    if predicted is not None and group.order != predicted:
+        raise OrderMismatchError(f"{what} has order {group.order}, not the predicted {predicted}")
+    return group
 
 
 def _class_ii_eps(k: int, r: int) -> int:

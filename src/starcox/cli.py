@@ -11,7 +11,7 @@ from contextlib import nullcontext
 
 from .builder import K_INF, StarParams, reduced_generators
 from .cgroup import CHECK_NAMES, verify_cgroup
-from .classify import classify_rank4, table3_lookup
+from .classify import OrderMismatchError, classify_rank4, table3_lookup
 from .field import Q_LIMIT
 from .matgroup import DEFAULT_CAP, OverCapError, bsgs_group, enumerate_group
 from .polytope import polytope_report
@@ -297,6 +297,9 @@ def main(argv=None) -> int:
     except OverCapError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_OVERCAP
+    except OrderMismatchError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

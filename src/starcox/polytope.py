@@ -6,7 +6,9 @@ indices, incidence is nonempty coset intersection, and the two cell
 families come from the two unringed outer nodes. G acts transitively on
 each face family and keeps incidence, so incidence is read at the faces
 through the identity, as indices of intersections of face stabilizers:
-only the stabilizers are enumerated, never the whole group.
+only the stabilizers are built, never the whole group. Each is a closure
+or a stabilizer chain by the rule ``verify_cgroup`` uses too
+(``classify.subgroup_backend``), so a stabilizer past the cap is a chain.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .builder import StarParams, kept, reduced_generators
-from .classify import classify_rank4
-from .matgroup import DEFAULT_CAP, GroupHandle, enumerate_group, mat_mul
+from .classify import OrderMismatchError, classify_rank4, confirm_order, subgroup_backend
+from .matgroup import DEFAULT_CAP, GroupHandle, bsgs_group, enumerate_group, mat_mul
 
 # The face stabilizers of each ringing, named by the generators they omit
 # (builder.kept), in the order of PolytopeStats' counts.
@@ -78,18 +80,24 @@ class PolytopeStats:
 def _stabilizers(
     params: StarParams, ringed_node: int, cap: int, names: tuple[str, ...] = ()
 ) -> dict[str, GroupHandle]:
-    """The face stabilizers of one ringing, enumerated, by face name: those
-    named, else all of them in the order of _FACES."""
+    """The face stabilizers of one ringing by face name: those named, else
+    all of them in the order of _FACES. Each is a closure or a stabilizer
+    chain by ``classify.subgroup_backend`` and is compared with its
+    predicted order, where there is one."""
     if ringed_node not in _FACES:
         raise ValueError("supported ringed nodes are 0 and 2")
     ctx, gens, _ = reduced_generators(params)
-    faces = _FACES[ringed_node]
-    return {f: enumerate_group(ctx, gens[kept(faces[f])], cap=cap) for f in names or faces}
+    faces, groups = _FACES[ringed_node], {}
+    for f in names or faces:
+        chain, want = subgroup_backend(params, faces[f], cap)
+        group = (bsgs_group if chain else enumerate_group)(ctx, gens[kept(faces[f])], cap=cap)
+        groups[f] = confirm_order(group, want, f"{f} stabilizer")
+    return groups
 
 
 def _index(full_order: int, sub_order: int, what: str) -> int:
     if full_order % sub_order:
-        raise ArithmeticError(f"{what} order {sub_order} does not divide {full_order}")
+        raise OrderMismatchError(f"{what} order {sub_order} does not divide {full_order}")
     return full_order // sub_order
 
 
@@ -103,8 +111,9 @@ def face_counts(params: StarParams, ringed_node: int, cap: int = DEFAULT_CAP) ->
     """Coset counts of the five face families for ringed node 0 or 2.
 
     The full-group order comes from the classification; subgroup orders
-    come from enumeration, capped at cap elements, so every count is an
-    exact subgroup index.
+    come from a closure or a stabilizer chain (``_stabilizers``), so every
+    count is an exact subgroup index. A stabilizer order that does not
+    divide the full-group order raises OrderMismatchError.
     """
     return _counts(params, ringed_node, _stabilizers(params, ringed_node, cap))
 
@@ -158,8 +167,9 @@ def incidence_report(
     at the base edge are B and B r.
     vertex_profile is the one pair (|V : V ∩ P|, |V : V ∩ Q|), and
     crossfoot_ok, that the cells of a family meet equally many edges,
-    holds by transitivity. Only the stabilizers are enumerated, each
-    capped at cap elements; the full group is never built.
+    holds by transitivity. Only the stabilizers are built, a closure held
+    to cap by its elements, a chain by its orbits and the elements listed
+    from it; the full group is never built.
     """
     names = ("edge", "vertex", "P-cell", "Q-cell")
     return _incidence(params, ringed_node, _stabilizers(params, ringed_node, cap, names))
@@ -184,6 +194,6 @@ def polytope_report(
     params: StarParams, ringed_node: int, cap: int = DEFAULT_CAP
 ) -> tuple[PolytopeStats, IncidenceReport]:
     """``face_counts`` and ``incidence_report`` of one ringing, from one
-    enumeration of each face stabilizer."""
+    build of each face stabilizer."""
     groups = _stabilizers(params, ringed_node, cap)
     return _counts(params, ringed_node, groups), _incidence(params, ringed_node, groups)

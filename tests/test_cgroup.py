@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from starcox.builder import K_INF, StarParams, kept, reduced_generators
-from starcox.classify import classify_rank3
+from starcox import cgroup, classify
+from starcox.classify import OrderMismatchError, classify_rank3
 from starcox.cgroup import (
     _CHECKS,
     _union,
@@ -22,6 +25,7 @@ P2 = classify_prime(GoldenInt(2, 0))
 P3 = classify_prime(GoldenInt(3, 0))
 P11 = classify_prime(GoldenInt(3, 1))
 P19 = classify_prime(GoldenInt(4, 1))
+P59 = classify_prime(GoldenInt(-7, -2))
 
 
 def params(k, p):
@@ -161,12 +165,74 @@ ODD_PRIMES_41 = [p for p in primes_up_to_norm(41) if p.klass is not PrimeClass.E
 
 @pytest.mark.parametrize("p", ODD_PRIMES_41, ids=lambda p: str(p.value))
 def test_chain_orders_match_rank3_classification(p):
-    # G0 and G2 are stabilizer chains in verify_cgroup; their orders get a
-    # second path from the rank-3 classification
+    # verify_cgroup holds G0 and G2 to the rank-3 classification itself
+    # (classify.confirm_order), whichever backend built them; this pins that
+    # second path from outside, and would catch a comparison that is skipped
     for k in (3, 4, 5, 6):
         orders = verify_cgroup(params(k, p)).subgroup_orders
         assert orders["G0"] == classify_rank3(0, params(k, p)).predicted_order
         assert orders["G2"] == classify_rank3(2, params(k, p)).predicted_order
+
+
+def recorded_chains(monkeypatch) -> list[int]:
+    """The orders of the stabilizer chains verify_cgroup builds, in order,
+    recorded through cgroup's own binding of bsgs_group."""
+    built, inner = [], cgroup.bsgs_group
+
+    def recording(*args, **kwargs):
+        group = inner(*args, **kwargs)
+        built.append(group.order)
+        return group
+
+    monkeypatch.setattr(cgroup, "bsgs_group", recording)
+    return built
+
+
+# G0 is B3 or H3 at k = 4, 5; G2 is predicted 2,640 and 1,320 elements at
+# q = 11 and 205,320 and 410,640 at q = 59; at k = 6, G0 and G2 have 1,452
+# and 1,320 elements at q = 11 and 41,772 and 205,320 at q = 59
+@pytest.mark.parametrize(
+    "k,p,chains",
+    [
+        pytest.param(k, p, chains, id=f"k{k}-q{p.q}")
+        for k, p, chains in (
+            (3, P11, ""), (3, P59, ""), (4, P11, ""), (5, P11, ""),
+            (4, P59, "2"), (5, P59, "2"), (6, P11, ""), (6, P59, "02"),
+        )
+    ],
+)
+def test_backend_rule_builds_chains_past_the_limit(monkeypatch, k, p, chains):
+    # G0 and G2 are chains exactly when their predicted order passes
+    # ENUMERATE_LIMIT (the cap being the default); every other subgroup,
+    # G0 and G2 included below the limit, is a closure
+    built = recorded_chains(monkeypatch)
+    rep = verify_cgroup(params(k, p))
+    assert rep.is_cgroup
+    assert built == [rep.subgroup_orders[f"G{omit}"] for omit in chains]
+    assert all(n > classify.ENUMERATE_LIMIT for n in built)
+
+
+def wrong_rank3(monkeypatch):
+    """Make every rank-3 prediction one element too large."""
+    real = classify.classify_rank3
+
+    def wrong(i, prm):
+        c = real(i, prm)
+        return dataclasses.replace(c, predicted_order=c.predicted_order + 1)
+
+    monkeypatch.setattr(classify, "classify_rank3", wrong)
+
+
+def test_order_mismatch_raises_on_reduced_generators_only(monkeypatch):
+    # negative controls are not the reduced group, so verify_cgroup does not
+    # hold their subgroups to the prediction
+    wrong_rank3(monkeypatch)
+    p = params(6, P11)
+    with pytest.raises(OrderMismatchError, match="G0 has order 1452, not the predicted 1453"):
+        verify_cgroup(p)
+    _, gens, _ = reduced_generators(p)
+    assert verify_cgroup(p, generators=gens).is_cgroup
+    assert not verify_cgroup(p, generators=np.stack([gens[0], gens[1], gens[1], gens[3]])).is_cgroup
 
 
 def test_negative_control_non_involution():

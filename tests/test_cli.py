@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -365,26 +366,73 @@ def test_polytope_text_format(capsys):
 
 @pytest.mark.parametrize("ring", [0, 2])
 def test_polytope_enumerates_each_face_stabilizer_once(ring, capsys, monkeypatch):
-    # five face stabilizers, each enumerated once for both reports; the
-    # output is that of face_counts and incidence_report called one by one
-    params = starcox.StarParams(3, starcox.classify_prime(starcox.GoldenInt(-1, 2)))
-    stats, inc = starcox.face_counts(params, ring), starcox.incidence_report(params, ring)
-    calls = []
-    inner = starcox.polytope.enumerate_group
+    # five face stabilizers, each built once for both reports: all closures
+    # at k = 3, -1+2t, and at k = 6, -7-2t (q = 59), G0 and G2, predicted
+    # past ENUMERATE_LIMIT, as chains; the output is that of face_counts and
+    # incidence_report called one by one
+    calls = {"enumerate_group": 0, "bsgs_group": 0}
+    for name in calls:
+        def counted(*args, name=name, inner=getattr(starcox.polytope, name), **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
+        monkeypatch.setattr(starcox.polytope, name, counted)
+    for k, prime, chains in ((3, "-1+2t", 0), (6, "-7-2t", 2)):
+        params = starcox.StarParams(k, starcox.classify_prime(starcox.parse_golden(prime)))
+        stats, inc = starcox.face_counts(params, ring), starcox.incidence_report(params, ring)
+        calls.update(enumerate_group=0, bsgs_group=0)
+        argv = ("polytope", "--k", str(k), "--prime", prime, "--ring", str(ring))
+        rc, out, _ = run(capsys, *argv, "--format", "text")
+        assert rc == 0
+        assert out == f"{stats.to_text()}\n{inc.to_text()}\n"
+        assert calls == {"enumerate_group": 5 - chains, "bsgs_group": chains}
+        rc, out, _ = run(capsys, *argv, "--format", "json")
+        assert rc == 0
+        assert out == json.dumps({**stats.to_json(), **inc.to_json()}) + "\n"
 
-    monkeypatch.setattr(starcox.polytope, "enumerate_group", counted)
-    argv = ("polytope", "--k", "3", "--prime", "-1+2t", "--ring", str(ring))
-    rc, out, _ = run(capsys, *argv, "--format", "text")
-    assert rc == 0
-    assert out == f"{stats.to_text()}\n{inc.to_text()}\n"
-    assert len(calls) == 5
-    rc, out, _ = run(capsys, *argv, "--format", "json")
-    assert rc == 0
-    assert out == json.dumps({**stats.to_json(), **inc.to_json()}) + "\n"
+
+def test_order_mismatch_exits_1(capsys, monkeypatch):
+    # a contradicted order is a failed verification: one error line and
+    # exit 1. polytope: a full-group order that the stabilizers do not
+    # divide; verify: a rank-3 prediction one element too large
+    real4, real3 = starcox.polytope.classify_rank4, starcox.classify.classify_rank3
+
+    def plus_one(real):
+        def wrong(*args):
+            c = real(*args)
+            return dataclasses.replace(c, predicted_order=c.predicted_order + 1)
+
+        return wrong
+
+    monkeypatch.setattr(starcox.polytope, "classify_rank4", plus_one(real4))
+    rc, out, err = run(capsys, "polytope", "--k", "3", "--prime", "2", "--ring", "2")
+    assert (rc, out) == (1, "")
+    assert err == "error: vertex stabilizer order 60 does not divide 961\n"
+    monkeypatch.setattr(starcox.classify, "classify_rank3", plus_one(real3))
+    rc, out, err = run(capsys, "verify", "--k", "6", "--prime", "3+1t")
+    assert (rc, out) == (1, "")
+    assert err == "error: G0 has order 1452, not the predicted 1453\n"
+
+
+@pytest.mark.parametrize(
+    "k,prime,cap,code,err",
+    [
+        # G2 predicted 2,640: a chain below that cap, a closure at it; both
+        # exit 0, as when G2 was always a chain
+        ("4", "3+1t", "2639", 0, ""),
+        ("4", "3+1t", "2640", 0, ""),
+        # no prediction at the even prime, so the 160-element G2 is a closure,
+        # held to the cap by its elements as in polytope: exit 4, where a
+        # chain of G2 (orbits of 20 and 8 points, never listed) exited 0, at
+        # every cap from 60 (|G3|) to 159 at k = 4 and 5
+        ("4", "2", "60", 4, "error: closure exceeds cap 60\n"),
+        ("4", "2", "160", 0, ""),
+    ],
+    ids=["k4-q11-cap2639", "k4-q11-cap2640", "k4-q4-cap60", "k4-q4-cap160"],
+)
+def test_backend_rule_edges_keep_exit_codes(capsys, k, prime, cap, code, err):
+    rc, _, got = run(capsys, "verify", "--k", k, "--prime", prime, "--cap", cap)
+    assert (rc, got) == (code, err)
 
 
 # ---------------------------------------------------------------------------

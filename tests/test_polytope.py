@@ -6,11 +6,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from starcox import polytope
 from starcox.builder import StarParams, kept, reduced_generators
 from starcox.classify import classify_rank4
 from starcox.matgroup import DEFAULT_CAP, OverCapError, _find, _keys, enumerate_group, mat_mul
-from starcox.polytope import IncidenceReport, face_counts, incidence_report
-from starcox.ring import GoldenInt, classify_prime
+from starcox.polytope import (
+    IncidenceReport,
+    _counts,
+    _incidence,
+    _stabilizers,
+    face_counts,
+    incidence_report,
+    polytope_report,
+)
+from starcox.ring import GoldenInt, classify_prime, parse_golden
 
 SQRT5 = classify_prime(GoldenInt(-1, 2))
 P2 = classify_prime(GoldenInt(2, 0))
@@ -191,6 +200,65 @@ def test_incidence_past_the_full_group_cap(ring, profile):
     for cells, omit, per_vertex in ((st.cells_p, omit_p, profile[0]), (st.cells_q, omit_q, profile[1])):
         cell = enumerate_group(ctx, gens[kept(omit)])
         assert st.vertices * per_vertex == cells * (cell.order // cell.intersect(vertex).order)
+
+
+# Rows where a face stabilizer of O(3, q) type passes the default cap, so
+# that only its stabilizer chain is built: k = 6 at -13-3t (q = 199) and
+# k = 4 at -2+13t (q = 191).
+PAST_THE_CAP = [
+    (6, "-13-3t", 0, {"vertices": 261360000, "edges": 15525176040000,
+                      "subfacets": 12420140832000, "cellsP": 1035011736000, "cellsQ": 7880400,
+                      "vertexProfile": [[79202, 39601]]}),
+    (6, "-13-3t", 2, {"vertices": 7880400, "edges": 15525176040000,
+                      "subfacets": 20700234720000, "cellsP": 1035011736000, "cellsQ": 261360000,
+                      "vertexProfile": [[1576080, 1313400]]}),
+    (4, "-2+13t", 0, {"vertices": 1011483879920, "edges": 6068903279520,
+                      "subfacets": 4855122623616, "cellsP": 404593551968, "cellsQ": 6968062,
+                      "vertexProfile": [[8, 6]]}),
+    (4, "-2+13t", 2, {"vertices": 6968062, "edges": 6068903279520,
+                      "subfacets": 8091871039360, "cellsP": 404593551968,
+                      "cellsQ": 1011483879920, "vertexProfile": [[696768, 870960]]}),
+]
+
+
+@pytest.mark.parametrize(
+    "k,prime,ring,pinned",
+    [pytest.param(*case, id=f"k{case[0]}-ring{case[2]}") for case in PAST_THE_CAP],
+)
+def test_reports_past_the_stabilizer_cap(k, prime, ring, pinned):
+    # the report is polytope_report's, made from one build of the stabilizers
+    p = params(k, classify_prime(parse_golden(prime)))
+    groups = _stabilizers(p, ring, DEFAULT_CAP)
+    assert max(g.order for g in groups.values()) > DEFAULT_CAP
+    st, inc = _counts(p, ring, groups), _incidence(p, ring, groups)
+    fixed = {"ring": ring, "orbitClass": "TwoOrbit", "edgesOk": True, "crossfootOk": True}
+    assert {**st.to_json(), **inc.to_json()} == {**fixed, **pinned}
+    n = classify_rank4(p).predicted_order
+    counts = (st.vertices, st.edges, st.subfacets, st.cells_p, st.cells_q)
+    assert [c * g.order for c, g in zip(counts, groups.values())] == [n] * 5
+    # double count of incident (vertex, cell) pairs
+    (profile,), vertex = inc.vertex_profile, groups["vertex"]
+    for cells, face, per_vertex in zip((st.cells_p, st.cells_q), ("P-cell", "Q-cell"), profile):
+        cell = groups[face]
+        assert st.vertices * per_vertex == cells * (cell.order // cell.intersect(vertex).order)
+
+
+def test_pool_rows_build_no_chain(monkeypatch):
+    # every face stabilizer at the primes 2, sqrt5 and 3 has at most 1,620
+    # elements (k = 6 at 3), below ENUMERATE_LIMIT, so each is a closure
+    built, inner = [], polytope.bsgs_group
+
+    def recording(*args, **kwargs):
+        group = inner(*args, **kwargs)
+        built.append(group.order)
+        return group
+
+    monkeypatch.setattr(polytope, "bsgs_group", recording)
+    for prime in (P2, SQRT5, P9):
+        for k in (3, 4, 5, 6):
+            for ring in (0, 2):
+                polytope_report(params(k, prime), ring)
+    assert built == []
 
 
 def test_incidence_respects_cap():
