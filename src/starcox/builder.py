@@ -12,7 +12,7 @@ import numpy as np
 
 from .field import FieldCtx, build_field
 from .matgroup import element_order, mat_mul
-from .ring import ONE, TAU, GoldenInt, GoldenPrime, PrimeClass
+from .ring import ONE, TAU, GoldenInt, GoldenPrime
 
 K_INF = math.inf
 _TAU2 = TAU * TAU
@@ -171,10 +171,7 @@ class StarParams:
             raise ValueError(f"k must be 3, 4, 5, 6, or inf; got {self.k}")
         if self.scale not in (1, 2):
             raise ValueError("form scale must be 1 or 2")
-        if self.k == K_INF and not (
-            self.prime.klass is PrimeClass.CLASS_I
-            or (self.prime.klass is PrimeClass.CLASS_II and self.prime.char == 3)
-        ):
+        if self.k == K_INF and self.prime.char not in (3, 5):
             raise ValueError("k = inf is supported only at sqrt5 and at 3")
 
     @cached_property

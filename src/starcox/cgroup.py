@@ -140,7 +140,7 @@ def replacement_generator(params: StarParams, i: int = 0):
         raise ValueError("replacement generators exist for k = 4, 5, 6")
     if p.klass is PrimeClass.EVEN:
         raise ValueError("replacement identity needs an odd prime")
-    if (k == 5 and p.klass is PrimeClass.CLASS_I) or (k == 6 and p.char == 3):
+    if (k == 5 and p.char == 5) or (k == 6 and p.char == 3):
         raise ValueError("replacement identity needs an orthogonal-type reduction")
     ctx, g, _ = reduced_generators(params)
     if k == 4:

@@ -107,7 +107,7 @@ def classify_rank4(params: StarParams) -> Classification:
     if p.klass is PrimeClass.EVEN:
         return Classification("exceptional", "C2^4:A5", 960, 0, 0)
     dlt = delta(k, p, mu)
-    if k == 5 and p.klass is PrimeClass.CLASS_I:
+    if k == 5 and p.char == 5:
         return Classification("exceptional", "C5^3:(C2xA5)", 15_000, 0, dlt)
     if k == 6 and p.char == 3:
         return Classification("exceptional", "3-singular", 174_960, 0, dlt)
@@ -139,10 +139,7 @@ def classify_rank3(i: int, params: StarParams) -> Classification:
         if k in _RANK3_COXETER:
             name, order = _RANK3_COXETER[k]
             return Classification("coxeter", name, order, 0, 0)
-        s = {PrimeClass.CLASS_I: 5, PrimeClass.CLASS_II: p.char, PrimeClass.CLASS_III: p.q}[
-            p.klass
-        ]
-        return Classification("torus", f"Torus({s})", 12 * s * s, 0, 0)
+        return Classification("torus", f"Torus({p.char})", 12 * p.char**2, 0, 0)
     if i != 2:
         raise ValueError("distinguished rank-3 subgroups omit generator 0, 2, or 3")
     if k == 3:

@@ -226,8 +226,6 @@ def _survey_row(k: int, p, cap: int, fails: dict) -> dict:
 
 def cmd_survey(args) -> int:
     k = _parse_k(args.k, extra=("all",))
-    if k == K_INF:
-        raise UsageError("survey covers finite k only")
     ks = [3, 4, 5, 6] if k == "all" else [k]
     if not MIN_SURVEY_NORM <= args.max_norm <= MAX_SURVEY_NORM:
         raise UsageError(f"--max-norm must lie in {MIN_SURVEY_NORM}..{MAX_SURVEY_NORM}")
@@ -280,13 +278,15 @@ def main(argv=None) -> int:
     }[args.cmd]
     try:
         code = handler(args)
-        sys.stdout.flush()  # buffered output meets a closed pipe here
+        sys.stdout.flush()  # buffered output meets a closed pipe or a full device here
         return code
-    except BrokenPipeError:
-        # the reader closed stdout early; what is still buffered goes to
-        # devnull, so the interpreter's final flush cannot raise again
+    except OSError as e:
+        # stdout failed (a reader that closed it early, a full device); what
+        # is still buffered goes to devnull, so the interpreter's final flush
+        # cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: cannot write the output: the reader closed it", file=sys.stderr)
+        why = "the reader closed it" if isinstance(e, BrokenPipeError) else e.strerror or e
+        print(f"error: cannot write the output: {why}", file=sys.stderr)
         return EXIT_PARSE
     except (UsageError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .ring import EvenPrimeError, GoldenInt, GoldenPrime, PrimeClass
+from .ring import EvenPrimeError, GoldenInt, GoldenPrime
 
 # Every field has q < Q_LIMIT, so each intermediate of a 4x4 code-matrix
 # product stays below 2^63: 4(q-1)^2 at degree 1, 12(r-1)^2 at degree 2.
@@ -81,17 +81,40 @@ class FieldCtx:
             raise ValueError("squareness is undefined at zero")
         return self.pow_(u, (self.q - 1) // 2) == 1
 
+    def sqrt(self, u: int) -> int | None:
+        """A square root of u by Tonelli-Shanks, None for a non-square; q odd."""
+        if u == 0:
+            return 0
+        if not self.is_square(u):
+            return None
+        odd, s = self.q - 1, 0
+        while odd % 2 == 0:
+            odd, s = odd // 2, s + 1
+        # the codes below char make F_r, and at degree 2 each of them is a
+        # square in F_q, so the scan for a non-square starts past them
+        start = 1 if self.degree == 1 else self.char
+        z = next(z for z in range(start, self.q) if not self.is_square(z))
+        c, t, r = self.pow_(z, odd), self.pow_(u, odd), self.pow_(u, (odd + 1) // 2)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                i, t2 = i + 1, self.mul(t2, t2)
+            b = self.pow_(c, 1 << (s - i - 1))
+            s, c = i, self.mul(b, b)
+            t, r = self.mul(t, c), self.mul(r, b)
+        return r
+
 
 def build_field(p: GoldenPrime) -> FieldCtx:
-    """Construct Z[tau]/(p) for any prime class with q < Q_LIMIT."""
+    """Construct Z[tau]/(p) for any prime p with q < Q_LIMIT.
+
+    The degree is the only switch. At q = r^2 (p an associate of the rational
+    prime r, the even prime included) tau is theta, the code r; at q = char,
+    p = c + d*tau gives tau = -c/d mod q, which is 3 at sqrt5.
+    """
     if p.q >= Q_LIMIT:
         raise ValueError(f"q = {p.q} is too large: fields need q < 2^30")
-    if p.klass is PrimeClass.EVEN:
-        return FieldCtx(2, 2, 4, 2)
-    if p.klass is PrimeClass.CLASS_I:
-        return FieldCtx(5, 1, 5, 3)
-    if p.klass is PrimeClass.CLASS_II:
-        return FieldCtx(p.char, 2, p.q, p.char)
-    q = p.q
-    t = (-p.c * pow(p.d, q - 2, q)) % q
-    return FieldCtx(q, 1, q, t)
+    r, q = p.char, p.q
+    if r != q:
+        return FieldCtx(r, 2, q, r)
+    return FieldCtx(q, 1, q, -p.c * pow(p.d, q - 2, q) % q)

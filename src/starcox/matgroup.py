@@ -379,30 +379,6 @@ def _invariant_form(ctx: FieldCtx, gens: np.ndarray) -> np.ndarray | None:
     return form if len(_row_reduce(ctx, form, 4)[1]) == 4 else None
 
 
-def _sqrt(ctx: FieldCtx, a: int) -> int | None:
-    """A square root of a in F_q, q odd, by Tonelli-Shanks; None for a non-square."""
-    if a == 0:
-        return 0
-    if not ctx.is_square(a):
-        return None
-    odd, s = ctx.q - 1, 0
-    while odd % 2 == 0:
-        odd, s = odd // 2, s + 1
-    # the codes below char make F_r, and at degree 2 each of them is a square
-    # in F_q, so the scan for a non-square starts past them
-    start = 1 if ctx.degree == 1 else ctx.char
-    z = next(z for z in range(start, ctx.q) if not ctx.is_square(z))
-    c, t, r = ctx.pow_(z, odd), ctx.pow_(a, odd), ctx.pow_(a, (odd + 1) // 2)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            i, t2 = i + 1, ctx.mul(t2, t2)
-        b = ctx.pow_(c, 1 << (s - i - 1))
-        s, c = i, ctx.mul(b, b)
-        t, r = ctx.mul(t, c), ctx.mul(r, b)
-    return r
-
-
 def _lines(ctx: FieldCtx, vecs: np.ndarray) -> np.ndarray:
     """Each vector scaled so that its first nonzero entry is one; a zero vector stays zero."""
     lead = np.take_along_axis(vecs, np.argmax(vecs != 0, axis=-1)[..., None], axis=-1)
@@ -442,7 +418,7 @@ def _isotropic_pair(ctx: FieldCtx, form: np.ndarray) -> tuple[np.ndarray, np.nda
             frame = [ctx.sub(w, ctx.mul(over(bil(w, f), norms[0]), f)) for w in frame]
         (f1, d1), (f2, d2), f3, d3 = *diag, frame[0], norms[0]
         for x in range(ctx.q):
-            y = _sqrt(ctx, ctx.neg(over(ctx.add(ctx.mul(d1, ctx.mul(x, x)), d3), d2)))
+            y = ctx.sqrt(ctx.neg(over(ctx.add(ctx.mul(d1, ctx.mul(x, x)), d3), d2)))
             if y is not None:
                 return ctx.add(ctx.add(ctx.mul(x, f1), ctx.mul(y, f2)), f3)
         raise AssertionError("a nondegenerate ternary form over F_q is isotropic")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -183,14 +184,10 @@ class GoldenPrime:
 
     @property
     def char(self) -> int:
-        """Characteristic of Z[tau]/(p)."""
-        if self.klass is PrimeClass.EVEN:
-            return 2
-        if self.klass is PrimeClass.CLASS_I:
-            return 5
-        if self.klass is PrimeClass.CLASS_II:
-            return math.isqrt(self.q)
-        return self.q
+        """Characteristic r of Z[tau]/(p), which is F_r when q = r and F_(r^2)
+        when q = r^2, so r is isqrt(q) when q is a square and q otherwise."""
+        r = math.isqrt(self.q)
+        return r if r * r == self.q else self.q
 
     def divides(self, w: GoldenInt) -> bool:
         return exact_div(w, self.value) is not None
@@ -248,27 +245,27 @@ def rational_legendre(a: int, m: int) -> int:
 def golden_legendre(w: GoldenInt, p: GoldenPrime) -> int:
     """Generalized Legendre symbol (w/p) for an odd prime p of Z[tau].
 
-    Class I reduces via tau = 3 (mod sqrt5); Class II via the norm residue
-    mod r; Class III via the rational symbol (d(ad - bc)/q) with p = c + d*tau.
-    Returns 0 exactly when p divides w.
+    In F_(r^2) (q = r^2) the symbol is the norm residue (N(w)/r). In F_q
+    (q = char) tau maps to -c/d for p = c + d*tau, so w = a + b*tau maps to
+    (ad - bc)/d and the symbol is the rational ((a d^2 - b c d)/q), which
+    covers sqrt5 too. Returns 0 exactly when p divides w.
     """
-    if p.klass is PrimeClass.EVEN:
+    if p.q % 2 == 0:
         raise EvenPrimeError("the symbol is undefined at the even prime")
-    a, b = w.a, w.b
-    if p.klass is PrimeClass.CLASS_I:
-        return rational_legendre(a + 3 * b, 5)
-    if p.klass is PrimeClass.CLASS_II:
+    if p.char != p.q:
         return rational_legendre(w.norm(), p.char)
     c, d = p.c, p.d
-    return rational_legendre(a * d * d - b * c * d, p.q)
+    return rational_legendre(w.a * d * d - w.b * c * d, p.q)
 
 
 def primes_up_to_norm(bound: int) -> list[GoldenPrime]:
     """All canonical primes with q <= bound, ordered by (q, c, d).
 
-    Class III candidates are found by scanning |c|, |d| <= 2*sqrt(bound) + 3:
-    every prime has an associate with both real embeddings <= 1.28*sqrt(q),
-    whose coefficients are then below 1.85*sqrt(q).
+    The primes of prime norm, sqrt5 among them, are found by scanning |c|,
+    |d| <= 2*sqrt(bound) + 3: every prime has an associate with both real
+    embeddings <= 1.28*sqrt(q), whose coefficients are then below
+    1.85*sqrt(q). The rational primes 2 and r = +-2 mod 5, of norm r^2, are
+    added by hand.
     """
     if bound < 4:
         raise ValueError("bound must be at least 4")
@@ -279,8 +276,6 @@ def primes_up_to_norm(bound: int) -> list[GoldenPrime]:
         found.setdefault((gp.q, gp.c, gp.d), gp)
 
     add(GoldenInt(2, 0))
-    if bound >= 5:
-        add(GoldenInt(-1, 2))
     r = 3
     while r * r <= bound:
         if r % 5 in (2, 3) and _is_rational_prime(r):
@@ -289,29 +284,30 @@ def primes_up_to_norm(bound: int) -> list[GoldenPrime]:
     radius = 2 * math.isqrt(bound) + 3
     for c in range(-radius, radius + 1):
         for d in range(-radius, radius + 1):
-            if d == 0:
-                continue
             n = abs(c * c + c * d - d * d)
-            if n < 7 or n > bound or n % 5 not in (1, 4):
-                continue
-            if _is_rational_prime(n):
+            if n <= bound and _is_rational_prime(n):
                 add(GoldenInt(c, d))
     return [found[k] for k in sorted(found)]
 
 
-_INT_RE = re.compile(r"^([+-]?\d+)$")
-_FULL_RE = re.compile(r"^([+-]?\d+)([+-]\d+)t$")
+_GOLDEN_RE = re.compile(r"^([+-]?\d+)(?:([+-]\d+)t)?$")
 
 
 def parse_golden(text: str) -> GoldenInt:
-    """Parse the textual grammar `<int>` | `<int>+-<int>t` | `t`."""
+    """Parse the textual grammar `<int>` | `<int>+-<int>t` | `t`.
+
+    An integer longer than Python's int conversion limit is a ParseError, and
+    the message echoes at most the first 40 characters of the text.
+    """
     s = text.strip()
     if s == "t":
         return TAU
-    m = _INT_RE.match(s)
-    if m:
-        return GoldenInt(int(m.group(1)), 0)
-    m = _FULL_RE.match(s)
-    if m:
-        return GoldenInt(int(m.group(1)), int(m.group(2)))
-    raise ParseError(f"cannot parse {text!r} as a ring element")
+    shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+    m = _GOLDEN_RE.match(s)
+    if not m:
+        raise ParseError(f"cannot parse {shown} as a ring element")
+    try:
+        return GoldenInt(int(m.group(1)), int(m.group(2) or 0))
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"cannot parse {shown}: an integer has more than {limit} digits") from None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -96,6 +97,18 @@ def test_parse_error_exits_2(capsys):
     rc, _, err = run(capsys, "classify", "--k", "3", "--prime", "3+t")
     assert rc == 2
     assert "error:" in err
+
+
+LONG_PRIME = "1" * 4301  # one digit past Python's int conversion limit
+
+
+@pytest.mark.parametrize("prime", [LONG_PRIME, f"1+{LONG_PRIME}t", f"-{LONG_PRIME}-1t"])
+@pytest.mark.parametrize("cmd", ["classify", "verify"])
+def test_over_long_prime_exits_2(capsys, cmd, prime):
+    rc, out, err = run(capsys, cmd, "--k", "3", "--prime", prime)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: cannot parse ") and err.count("\n") == 1
+    assert "more than 4300 digits" in err and len(err) < 200
 
 
 def test_composite_and_unit_exit_3(capsys):
@@ -207,13 +220,67 @@ def test_closed_stdout_exits_2_without_traceback(argv, lines):
     assert "Exception ignored" not in err
 
 
+_WRITE_CASES = [
+    ("classify", "--k", "3", "--prime", "2"),
+    ("verify", "--k", "3", "--prime", "2"),
+    ("polytope", "--k", "3", "--prime", "2", "--ring", "0"),
+    ("survey", "--max-norm", "4"),
+]
+_WRITE_IDS = ["classify", "verify", "polytope", "survey"]
+
+
+class _FullStdout:
+    """A stdout on a full device: every write and flush raises ENOSPC."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def fileno(self) -> int:
+        return self.fd
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self) -> None:
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", _WRITE_CASES, ids=_WRITE_IDS)
+def test_failed_stdout_write_exits_2(argv, tmp_path, monkeypatch):
+    # main sends what is left of stdout to devnull through its descriptor,
+    # here a scratch file's, so the test run's own stdout is untouched
+    with open(tmp_path / "out", "w") as scratch:
+        monkeypatch.setattr(sys, "stdout", _FullStdout(scratch.fileno()))
+        with redirect_stderr(io.StringIO()) as err:
+            rc = main(list(argv))
+    assert rc == 2
+    assert err.getvalue() == "error: cannot write the output: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", _WRITE_CASES, ids=_WRITE_IDS)
+def test_full_device_stdout_exits_2_without_traceback(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "starcox.cli", *argv],
+            env={**os.environ, "PYTHONPATH": SRC},
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write the output: No space left on device\n"
+
+
 # Tokens of the real grammar, bounded so every run stays small (primes of
 # norm <= 11, caps <= 2,000, survey norms <= 5), next to units, composites,
-# unparsable primes, bad k values, non-positive caps and out-of-range norms.
+# unparsable primes (one past the int conversion limit), bad k values,
+# non-positive caps and out-of-range norms.
 _VALUES = {
     "--k": ["3", "4", "5", "6", "inf", "all", "7", "0", "-3", "x", ""],
     "--prime": ["2", "-1+2t", "3", "3+1t", "-1+3t", "t", "1", "-1", "4", "6", "2+2t", "0",
-                "abc", "3+", "+t"],
+                "abc", "3+", "+t", LONG_PRIME],
     "--cap": ["-5", "0", "1", "50", "2000", "x"],
     "--scale": ["1", "2", "3", "x"],
     "--ring": ["0", "2", "1", "x"],

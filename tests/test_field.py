@@ -117,6 +117,18 @@ def test_is_square_matches_golden_legendre():
                 assert ctx.is_square(code) == (sym == 1)
 
 
+@pytest.mark.parametrize("prime", [(-1, 2), (3, 0), (7, 0), (-7, -3), (32759, 18), (32717, 0)])
+def test_sqrt_squares_back(prime):
+    ctx = ctx_of(*prime)
+    codes = range(ctx.q) if ctx.q < 100 else [0, 1, 2, 3, 5, ctx.q - 1, ctx.q // 3]
+    for a in codes:
+        root = ctx.sqrt(a)
+        if a and not ctx.is_square(a):
+            assert root is None
+        else:
+            assert ctx.mul(root, root) == a
+
+
 def test_tau_code_arithmetic():
     ctx = ctx_of(3, 0)
     t = ctx.tau_code

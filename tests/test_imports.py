@@ -132,3 +132,35 @@ def test_no_bare_np_unique():
         for line in bare_unique_calls(ast.parse(p.read_text(encoding="utf-8")))
     ]
     assert bare == []
+
+
+# the odd classes label a prime for the congruence path and the output; the
+# arithmetic reads the characteristic and the degree off q
+CLASS_LABELS = {"CLASS_I", "CLASS_II", "CLASS_III"}
+CLASS_READERS = {"classify_prime", "table3_lookup"}
+
+
+def class_label_sites(tree: ast.Module) -> list[tuple[str, int]]:
+    """(outermost function or class, or "<module>", line) of each attribute access to
+    a name in CLASS_LABELS."""
+    sites = []
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        sites += [(where, n.lineno) for n in ast.walk(top)
+                  if isinstance(n, ast.Attribute) and n.attr in CLASS_LABELS]
+    return sites
+
+
+def test_prime_classes_are_read_only_as_labels():
+    probe = ast.parse("def f(p):\n    return p.CLASS_I\nX = PrimeClass.CLASS_III\n")
+    assert class_label_sites(probe) == [("f", 2), ("<module>", 3)]
+    library = sorted((ROOT / "src" / "starcox").rglob("*.py"))
+    stray = [
+        f"{p.relative_to(ROOT)}:{line} {where}"
+        for p in library
+        for where, line in class_label_sites(ast.parse(p.read_text(encoding="utf-8")))
+        if where not in CLASS_READERS
+    ]
+    assert stray == []
+    field = ast.parse((ROOT / "src" / "starcox" / "field.py").read_text(encoding="utf-8"))
+    assert "PrimeClass" not in referenced_names(field)

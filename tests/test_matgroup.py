@@ -26,7 +26,6 @@ from starcox.matgroup import (
     _isotropic_pair,
     _keys,
     _point_keys,
-    _sqrt,
     _successors,
     bsgs_group,
     element_order,
@@ -569,18 +568,6 @@ def test_rank3_subgroup_has_no_single_form(prime):
     assert _invariant_form(ctx, gens[kept("2")]) is None
     chain = bsgs_group(ctx, gens[kept("2")])._chain
     assert not any(lvl.line for lvl in chain)
-
-
-@pytest.mark.parametrize("prime", [(-1, 2), (3, 0), (7, 0), (-7, -3), (32759, 18), (32717, 0)])
-def test_sqrt_squares_back(prime):
-    ctx = ctx_of(*prime)
-    codes = range(ctx.q) if ctx.q < 100 else [0, 1, 2, 3, 5, ctx.q - 1, ctx.q // 3]
-    for a in codes:
-        root = _sqrt(ctx, a)
-        if a and not ctx.is_square(a):
-            assert root is None
-        else:
-            assert ctx.mul(root, root) == a
 
 
 @pytest.mark.parametrize("k,prime", [(3, (7, 0)), (4, (7, 0)), (5, (7, 0)), (6, (7, 0)), (3, (-13, -3))])

@@ -223,3 +223,21 @@ def test_parse_and_emit():
     for bad in ("", "x", "1+t", "t+1", "2t", "1 + 2t", "++1t"):
         with pytest.raises(ParseError):
             parse_golden(bad)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1" * 4301, "-" + "7" * 4301, "1+" + "2" * 4301 + "t", "7" * 4301 + "-1t", "x" * 5000],
+    ids=["int", "negative-int", "long-t-coefficient", "long-constant", "long-garbage"],
+)
+def test_over_long_literals_are_parse_errors(text):
+    with pytest.raises(ParseError) as exc:
+        parse_golden(text)
+    msg = str(exc.value)
+    assert "\n" not in msg and len(msg) < 200
+    assert text[:40] in msg and f"({len(text)} characters)" in msg
+
+
+def test_longest_convertible_literal_parses():
+    assert parse_golden("9" * 4300) == GoldenInt(10**4300 - 1, 0)
+    assert parse_golden("1-" + "9" * 4300 + "t") == GoldenInt(1, 1 - 10**4300)
