@@ -96,9 +96,11 @@ def verify_cgroup(
     to the cap by its order, as its closure is, before G2 is built. G_(I|J)
     lies in G_I & G_J by construction, so each check compares |G_I & G_J|
     with |G_(I|J)|; an intersection lists its smaller side in batches
-    (``GroupHandle.intersect``). Membership in G_(I|J) runs only when a
-    check fails, to name the witness: the first element of the intersection,
-    in key order, outside G_(I|J).
+    (``GroupHandle.intersect``). For G0 & G2, G0 is a listed chain, and only
+    its elements that fix the vector fixed by r0, r1 and r3, as all of G2
+    does, are multiplied out and tested in G2. Membership in G_(I|J) runs
+    only when a check fails, to name the witness: the first element of the
+    intersection, in key order, outside G_(I|J).
     """
     ctx, gens, _ = reduced_generators(params)
     if generators is not None:

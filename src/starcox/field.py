@@ -58,9 +58,17 @@ class FieldCtx:
         return (op(x1, x2) + yy) % r + (op(x1, y2) + op(y1, x2) + yy) % r * r
 
     def inv(self, u: int) -> int:
+        """The inverse of a nonzero code. At degree 2, u = x + y*theta has
+        conjugate s = (x + y) - y*theta (theta's conjugate is 1 - theta) and
+        norm u s = x^2 + x y - y^2 in F_r, so 1/u = s / N(u)."""
         if u == 0:
             raise ZeroDivisionError("field inverse of zero")
-        return self.pow_(u, self.q - 2)
+        if self.degree == 1:
+            return pow(int(u), -1, self.q)
+        r = self.char
+        y, x = divmod(int(u), r)
+        n = pow((x * x + x * y - y * y) % r, -1, r)
+        return (x + y) * n % r + -y * n % r * r
 
     def pow_(self, u: int, e: int) -> int:
         if e < 0:

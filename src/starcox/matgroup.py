@@ -21,18 +21,23 @@ vector scaled so that its first nonzero entry is one, and stores its orbit
 as the sorted keys of its points, with the transversal as stacked arrays in
 the same order. One orbit loop builds every level, with two step rules:
 breadth-first layers over several generators, and cyclic doubling of the
-cycle that one generator makes. One batched sift serves membership and the
-Schreier generators alike, and one rule (``_add_generator``) decides which
-levels a new strong generator joins: every level from where it enters up to
-the first base point it moves. The chain's base opens with isotropic lines
-of the symmetric form that the generators preserve, derived from the
-generators themselves, where there is a single nondegenerate one.
-Schreier-Sims is incremental: a level's Schreier generators are formed once
-per orbit build, and a revisit sifts only those after the one whose residue
-was last added. An intersection lists the side of smaller order, from either
-backend, BATCH elements at a time (slices of an enumerated group's keys, or
-products of a chain's transversals), and keeps those the other side
-contains; listing a chain is bounded by the cap it was built with.
+cycle that one generator makes; either way the transversal is a Schreier
+tree, and the level records each point's parent and edge generator. One
+batched sift serves membership and the Schreier generators alike, and one
+rule (``_add_generator``) decides which levels a new strong generator joins:
+every level from where it enters up to the first base point it moves. The
+chain's base opens with isotropic lines of the symmetric form that the
+generators preserve, derived from the generators themselves, where there is
+a single nondegenerate one. Schreier-Sims is incremental: a level's Schreier
+generators are formed once per orbit build, without the pairs that give the
+identity by construction (tree edges and their reverses), and a revisit
+sifts only those after the one whose residue was last added. A sift passes
+a level of one point by its key test alone. An intersection lists the side
+of smaller order, from either backend, BATCH elements at a time (slices of
+an enumerated group's keys, or products of a chain's transversals), and
+keeps those the other side contains; a listed chain yields only the
+elements that fix the vectors the other side's generators all fix, and
+listing a chain is bounded by the cap it was built with.
 """
 
 from __future__ import annotations
@@ -96,6 +101,18 @@ def _row_reduce(ctx: FieldCtx, rows: np.ndarray, ncols: int) -> tuple[np.ndarray
         rows = ctx.sub(rows, ctx.mul(factors[:, None], rows[r]))
         pivots.append(col)
     return rows, pivots
+
+
+def _kernel(ctx: FieldCtx, rows: np.ndarray, ncols: int) -> np.ndarray:
+    """A basis of the vectors x with rows @ x = 0 over F_q, one row per free
+    column of the reduced echelon form: one there, zero at the other free
+    columns."""
+    rows, pivots = _row_reduce(ctx, rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = ctx.neg(rows[: len(pivots), free]).T
+    return basis
 
 
 def mat_inv(ctx: FieldCtx, m: np.ndarray) -> np.ndarray:
@@ -177,7 +194,8 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
 
 def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Positions of keys in sorted_keys, -1 where a key is absent."""
-    pos = np.searchsorted(sorted_keys, keys).clip(max=len(sorted_keys) - 1)
+    pos = np.searchsorted(sorted_keys, keys)
+    np.minimum(pos, len(sorted_keys) - 1, out=pos)
     return np.where(sorted_keys[pos] == keys, pos, -1)
 
 
@@ -260,15 +278,18 @@ class GroupHandle:
             raise ValueError("group is not enumerated")
         return _decode(self.ctx, self._sorted_keys)
 
-    def _batches(self):
+    def _batches(self, fixed: np.ndarray | None = None):
         """Every element once, as int64 matrices, at most BATCH at a time. An
         enumerated group decodes slices of its keys. A chain lists the
         products t_0[i_0] t_1[i_1] ... of its transversals, skipping levels
         of one point: the products of the lower levels are formed once,
         while they fit in BATCH, and the upper levels are indexed by mixed
         radix, BATCH // len(tail) at a time, so a listed element costs about
-        one product. Listing a group whose order exceeds its cap raises
-        OverCapError before any product."""
+        one product. Given fixed, a 4 x d matrix, a chain lists only the
+        elements x = head tail with x fixed = fixed: each is tested as
+        head (tail fixed), d matrix-vector products, and only those that
+        pass are multiplied out. Listing a group whose order exceeds its cap
+        raises OverCapError before any product."""
         if self.order > self.cap:
             raise OverCapError(f"closure exceeds cap {self.cap}")
         ctx = self.ctx
@@ -280,8 +301,10 @@ class GroupHandle:
         tail = identity()[None]
         while levels and len(tail) * len(levels[-1]) <= BATCH:
             tail = mat_mul(ctx, levels.pop()[:, None], tail[None]).reshape(-1, 4, 4)
+        if fixed is not None:
+            tail_fixed = mat_mul(ctx, tail, fixed)
         if not levels:
-            yield tail
+            yield tail if fixed is None else tail[(tail_fixed == fixed).all(axis=(1, 2))]
             return
         radix = [len(t) for t in levels]
         step, heads = BATCH // len(tail), math.prod(radix)
@@ -290,7 +313,12 @@ class GroupHandle:
             head = levels[0][digits[0]]
             for t, d in zip(levels[1:], digits[1:]):
                 head = mat_mul(ctx, head, t[d])
-            yield mat_mul(ctx, head[:, None], tail[None]).reshape(-1, 4, 4)
+            if fixed is None:
+                yield mat_mul(ctx, head[:, None], tail[None]).reshape(-1, 4, 4)
+            else:
+                keep = (mat_mul(ctx, head[:, None], tail_fixed[None]) == fixed).all(axis=(2, 3))
+                h, t = np.nonzero(keep)
+                yield mat_mul(ctx, head[h], tail[t])
 
     def contains_batch(self, mats: np.ndarray) -> np.ndarray:
         """Vectorized membership for a stack of matrices. On a chain a matrix
@@ -311,11 +339,21 @@ class GroupHandle:
         """Intersection, enumerated. The side of smaller order (self on a
         tie), whichever backend holds it, is listed BATCH elements at a time
         (``_batches``), and the meet is the sorted keys of the listed
-        elements that the other side contains."""
+        elements that the other side contains. Every element of the other
+        side fixes the vectors its generators all fix, so when that space
+        is not zero a listed chain yields only the elements that fix it
+        (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
+        ch. 4, prune by a property the other group keeps). An enumerated
+        listed side is decoded whole: listing it forms no product."""
+        ctx = self.ctx
         small, big = (other, self) if other.order < self.order else (self, other)
-        keys = [_keys(self.ctx, m[big.contains_batch(m)]) for m in small._batches()]
+        fixed = None
+        if small._chain is not None:
+            fixed = _kernel(ctx, ctx.sub(big.gens, identity()).reshape(-1, 4), 4).T
+            fixed = fixed if fixed.shape[1] else None
+        keys = [_keys(ctx, m[big.contains_batch(m)]) for m in small._batches(fixed)]
         meet = np.sort(np.concatenate(keys))
-        return GroupHandle(self.ctx, _decode(self.ctx, meet), small.cap, meet)
+        return GroupHandle(ctx, _decode(ctx, meet), small.cap, meet)
 
     def same_group(self, other: GroupHandle) -> bool:
         """Equal orders and self's generators in other: then self lies in
@@ -367,15 +405,11 @@ def _invariant_form(ctx: FieldCtx, gens: np.ndarray) -> np.ndarray | None:
     # (g^T E_u g - E_u)[a, b] at unknown u, E_u the form with B_u = 1
     image = mat_mul(ctx, mat_mul(ctx, np.swapaxes(gens, 1, 2)[:, None], basis), gens[:, None])
     coeffs = ctx.sub(image, basis)[..., iu, ju]  # (generator, unknown, equation)
-    rows, pivots = _row_reduce(ctx, coeffs.transpose(0, 2, 1).reshape(-1, n), n)
-    if len(pivots) != n - 1:
+    solutions = _kernel(ctx, coeffs.transpose(0, 2, 1).reshape(-1, n), n)
+    if len(solutions) != 1:
         return None
-    (free,) = set(range(n)) - set(pivots)
-    entries = np.zeros(n, dtype=np.int64)
-    entries[free] = 1
-    entries[pivots] = ctx.neg(rows[: len(pivots), free])
     form = np.zeros((4, 4), dtype=np.int64)
-    form[iu, ju] = form[ju, iu] = entries
+    form[iu, ju] = form[ju, iu] = solutions[0]
     return form if len(_row_reduce(ctx, form, 4)[1]) == 4 else None
 
 
@@ -437,11 +471,14 @@ class _Level:
     each line keyed by its vector scaled so that its first nonzero entry is
     one (``_point_keys``). The orbit is the sorted array of those keys; ``t``
     and ``t_inv`` are stacked arrays in key order, so ``t[i]`` maps the point
-    to a vector of key ``keys[i]``. ``keys``, ``t`` and ``t_inv`` are set by
-    ``_build_orbit``, breadth-first or, with one generator, by cyclic
-    doubling; ``gens`` grow only through ``_add_generator``."""
+    to a vector of key ``keys[i]``. The transversal is a Schreier tree:
+    ``t[i]`` is ``gens[edge[i]] @ t[parent[i]]``, in key order, except at
+    the base point, whose parent and edge are -1. ``keys``, ``t``, ``t_inv``,
+    ``parent`` and ``edge`` are set by ``_build_orbit``, breadth-first or,
+    with one generator, by cyclic doubling; ``gens`` grow only through
+    ``_add_generator``."""
 
-    __slots__ = ("point", "line", "gens", "gen_invs", "keys", "t", "t_inv")
+    __slots__ = ("point", "line", "gens", "gen_invs", "keys", "t", "t_inv", "parent", "edge")
 
     def __init__(self, point: np.ndarray, line: bool):
         self.point = point
@@ -494,6 +531,11 @@ def _build_orbit(ctx: FieldCtx, lvl: _Level, cap: int) -> None:
     then g^(L-j) p = p would have come round first), so the cycle is closed
     at the first step that meets one.
 
+    The transversal is a Schreier tree: t of each point but p is g t of its
+    parent, g the generator on its edge. Breadth-first, the parent is the
+    source and g the step element; by cyclic doubling, the parent of g^i p
+    is g^(i-1) p and g is the one generator.
+
     Rows are appended in the order found, in the compact dtype, and only
     the keys are kept sorted; one argsort at the end puts the rows in key
     order, widened to int64."""
@@ -503,6 +545,10 @@ def _build_orbit(ctx: FieldCtx, lvl: _Level, cap: int) -> None:
     keys = _point_keys(ctx, lvl.line, vecs)
     t = t_inv = identity()[None]
     found, ts, t_invs = [keys], [t.astype(compact)], [t_inv.astype(compact)]
+    # the tree in found order: breadth-first, the parent and step element of
+    # each point after p (src0 is the found index of vecs[0]); by cyclic
+    # doubling, the power i of each point g^i p
+    parents, edges, src0, powers = [], [], 0, np.zeros(1, dtype=np.int64)
     while len(vecs):
         imgs = mat_vec(ctx, steps[:, None], vecs[None]).reshape(-1, 4)
         cand, first = np.unique(_point_keys(ctx, lvl.line, imgs), return_index=True)
@@ -517,22 +563,37 @@ def _build_orbit(ctx: FieldCtx, lvl: _Level, cap: int) -> None:
         ts.append(new[1].astype(compact))
         t_invs.append(new[2].astype(compact))
         if len(steps) > 1:
+            parents.append(src0 + f)
+            edges.append(s)
+            src0 = len(keys) - len(cand)
             vecs, t, t_inv = new
-        elif len(cand) == len(vecs):  # p has not come round: the sources double
-            vecs, t, t_inv = (np.concatenate(pair) for pair in zip((vecs, t, t_inv), new))
-            steps, step_invs = mat_mul(ctx, steps, steps), mat_mul(ctx, step_invs, step_invs)
-        else:
+            continue
+        powers = np.concatenate([powers, len(vecs) + powers[f]])
+        if len(cand) < len(vecs):  # p has come round
             break
+        vecs, t, t_inv = (np.concatenate(pair) for pair in zip((vecs, t, t_inv), new))
+        steps, step_invs = mat_mul(ctx, steps, steps), mat_mul(ctx, step_invs, step_invs)
     order = np.argsort(np.concatenate(found))
+    if len(steps) > 1:
+        parent = np.concatenate([[0], *parents])
+        edge = np.concatenate([[-1], *edges])
+    else:
+        parent = np.argsort(powers)[powers - 1]
+        edge = np.where(powers > 0, 0, -1)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
     lvl.keys = keys
     lvl.t = np.concatenate(ts)[order].astype(np.int64)
     lvl.t_inv = np.concatenate(t_invs)[order].astype(np.int64)
+    lvl.edge = edge[order]
+    lvl.parent = np.where(lvl.edge >= 0, rank[parent[order]], -1)
 
 
 def _sift(ctx: FieldCtx, chain: list[_Level], start: int, mats: np.ndarray) -> np.ndarray:
     """The residues of a stack of matrices sifted through chain[start:]. A
     residue fixes the base points of the levels it entered, and moves that of
-    the level whose orbit it left."""
+    the level whose orbit it left. A level of one point tests the point
+    alone: its transversal is the identity."""
     work = np.asarray(mats, dtype=np.int64)
     res = np.empty_like(work)
     live = np.arange(len(work))
@@ -540,17 +601,30 @@ def _sift(ctx: FieldCtx, chain: list[_Level], start: int, mats: np.ndarray) -> n
         pos = _find(lvl.keys, _point_keys(ctx, lvl.line, mat_vec(ctx, work, lvl.point)))
         out = pos < 0
         res[live[out]] = work[out]
-        live, work = live[~out], mat_mul(ctx, lvl.t_inv[pos[~out]], work[~out])
+        live, work = live[~out], work[~out]
+        if len(lvl.keys) > 1:
+            work = mat_mul(ctx, lvl.t_inv[pos[~out]], work)
     res[live] = work
     return res
 
 
 def _schreier_generators(ctx: FieldCtx, lvl: _Level) -> np.ndarray:
-    """The sorted keys of the distinct Schreier generators t(g p)^-1 g t(p) of a level."""
-    keys = []
-    for g in lvl.gens:
-        for i in range(0, len(lvl.t), BATCH):
-            prods = mat_mul(ctx, g, lvl.t[i : i + BATCH])
+    """The sorted keys of the distinct Schreier generators t(g x)^-1 g t(x)
+    of a level, over its generators g and orbit points x, save two kinds of
+    pair that give the identity by construction, since the identity sifts to
+    the identity (Seress, *Permutation Group Algorithms*, CUP 2003, 4.1): a
+    tree edge (g, parent of y), where t(y) = g t(parent), and (g, y) where g
+    is the inverse of the generator on y's edge, which maps y to its parent."""
+    child = lvl.edge >= 0
+    keys = [_keys(ctx, identity()[:0])]
+    for j, g in enumerate(lvl.gens):
+        skip = np.zeros(len(lvl.t), dtype=bool)
+        skip[lvl.parent[lvl.edge == j]] = True
+        undo = [s for s, inv in enumerate(lvl.gen_invs) if np.array_equal(g, inv)]
+        skip[child & np.isin(lvl.edge, undo)] = True
+        sources = np.flatnonzero(~skip)
+        for i in range(0, len(sources), BATCH):
+            prods = mat_mul(ctx, g, lvl.t[sources[i : i + BATCH]])
             pos = _find(lvl.keys, _point_keys(ctx, lvl.line, mat_vec(ctx, prods, lvl.point)))
             keys.append(_keys(ctx, mat_mul(ctx, lvl.t_inv[pos], prods)))
     return sorted_unique(np.concatenate(keys))

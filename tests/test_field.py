@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -79,6 +80,20 @@ def test_field_axioms_and_inverse():
                 assert ctx.pow_(u, ctx.q - 1) == 1
         with pytest.raises(ZeroDivisionError):
             ctx.inv(0)
+
+
+@pytest.mark.parametrize("prime,q", [((2, 0), 4), ((-1, 2), 5), ((3, 0), 9), ((7, 0), 49),
+                                     ((-7, -3), 61), ((13, 0), 169)])
+def test_inv_matches_brute_force(prime, q):
+    # the inverse of u is the one code v with u v = 1, read off the full
+    # product table; numpy integer codes, as row reduction passes, agree
+    ctx = ctx_of(*prime)
+    assert ctx.q == q
+    codes = np.arange(q)
+    table = ctx.mul(codes[:, None], codes[None])
+    for u in range(1, q):
+        (v,) = np.flatnonzero(table[u] == 1)
+        assert ctx.inv(u) == ctx.inv(np.int64(u)) == v
 
 
 def test_inv_tau_image():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from starcox import matgroup
 from starcox.builder import StarParams, kept, reduced_generators
+from starcox.cgroup import _CHECKS
 from starcox.classify import classify_rank4
 from starcox.field import build_field
 from starcox.matgroup import (
@@ -24,8 +25,10 @@ from starcox.matgroup import (
     _find,
     _invariant_form,
     _isotropic_pair,
+    _kernel,
     _keys,
     _point_keys,
+    _sift,
     _successors,
     bsgs_group,
     element_order,
@@ -133,8 +136,8 @@ def test_element_order_basics():
 # keys
 
 # one prime of each field size the key tests use
-PRIMES = {4: (2, 0), 5: (-1, 2), 9: (3, 0), 11: (3, 1), 19: (-4, -1), 29: (-5, -1), 61: (-7, -3),
-          269: (-15, -4)}
+PRIMES = {4: (2, 0), 5: (-1, 2), 9: (3, 0), 11: (3, 1), 19: (-4, -1), 29: (-5, -1), 59: (-7, -2),
+          61: (-7, -3), 169: (13, 0), 269: (-15, -4)}
 
 
 def test_key_dtype_per_field():
@@ -482,6 +485,15 @@ def test_cyclic_doubling_matches_one_point_layers(q):
             for got, want in ((lvl.keys, keys), (lvl.t, t), (lvl.t_inv, t_inv)):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+            # a cycle of n points leaves at most one Schreier generator, g^n;
+            # an involution's cycle of two leaves none
+            assert_schreier_tree(ctx, lvl)
+            power = identity()
+            for _ in range(len(keys)):
+                power = mat_mul(ctx, g, power)
+            got = set(matgroup._schreier_generators(ctx, lvl).tolist())
+            ident = _keys(ctx, identity()[None]).tolist()
+            assert got <= set(_keys(ctx, power[None]).tolist()) <= got | set(ident)
             with pytest.raises(OverCapError):
                 matgroup._build_orbit(ctx, lvl, cap=len(keys) - 1)
             lengths.add(len(keys))
@@ -654,6 +666,94 @@ def test_bsgs_forms_schreier_generators_once_per_orbit_build(monkeypatch):
     assert calls["_schreier_generators"] == calls["_build_orbit"]
 
 
+def assert_schreier_tree(ctx, lvl):
+    """t of each point but the base point is g t(parent), g its edge's generator."""
+    root = np.flatnonzero(lvl.edge < 0)
+    assert len(root) == 1 and lvl.parent[root[0]] == -1 and is_identity(lvl.t[root[0]])
+    child = lvl.edge >= 0
+    edge_gens = np.stack(lvl.gens)[lvl.edge[child]]
+    assert np.array_equal(lvl.t[child], mat_mul(ctx, edge_gens, lvl.t[lvl.parent[child]]))
+
+
+def schreier_reference(ctx, lvl):
+    """The sorted distinct keys of t(g x)^-1 g t(x) over every generator g
+    and every orbit point x of a level, no pair skipped."""
+    keys = []
+    for g in lvl.gens:
+        for i in range(0, len(lvl.t), 4096):
+            prods = mat_mul(ctx, g, lvl.t[i : i + 4096])
+            pos = _find(lvl.keys, _point_keys(ctx, lvl.line, mat_vec(ctx, prods, lvl.point)))
+            keys.append(_keys(ctx, mat_mul(ctx, lvl.t_inv[pos], prods)))
+    return sorted_unique(np.concatenate(keys))
+
+
+@pytest.mark.parametrize(
+    "k,q,omit",
+    [(3, 19, ""), (6, 19, ""), (3, 29, ""), (3, 61, ""), (3, 169, ""), (6, 59, "0"), (6, 59, "2")],
+    ids=["k3-q19", "k6-q19", "k3-q29", "k3-q61", "k3-q169", "G0-k6-q59", "G2-k6-q59"],
+)
+def test_schreier_generators_skip_only_identities(k, q, omit):
+    # every level's transversal is a Schreier tree, t = g t(parent), and the
+    # Schreier generators formed without the pairs that give the identity by
+    # construction are, with the identity, those of every pair; breadth-first
+    # levels and one-generator cycles both occur
+    ctx, gens = gens_of(k, *PRIMES[q])
+    chain = bsgs_group(ctx, gens[kept(omit)])._chain
+    ident = _keys(ctx, identity()[None])
+    for lvl in chain:
+        assert_schreier_tree(ctx, lvl)
+        got = matgroup._schreier_generators(ctx, lvl)
+        want = schreier_reference(ctx, lvl)
+        assert np.array_equal(sorted_unique(np.concatenate([got, ident])),
+                              sorted_unique(np.concatenate([want, ident])))
+
+
+def reference_sift(ctx, chain, start, mats):
+    """Residues through chain[start:] with a transversal product at every
+    level, one-point levels included."""
+    work, res, live = mats.copy(), mats.copy(), np.arange(len(mats))
+    for lvl in chain[start:]:
+        pos = _find(lvl.keys, _point_keys(ctx, lvl.line, mat_vec(ctx, work, lvl.point)))
+        out = pos < 0
+        res[live[out]] = work[out]
+        live, work = live[~out], mat_mul(ctx, lvl.t_inv[pos[~out]], work[~out])
+    res[live] = work
+    return res
+
+
+def test_sift_through_one_point_levels_matches_reference():
+    # the q = 61, k = 4 chain ends in levels on e2 and e3 of one point each
+    # and one on e4 of two; queries that fix e2, or e2 and e3, reach them,
+    # and leave at the first of those points they move. A query that moves
+    # e2 alone and maps e4 into the last orbit would pick up a product there
+    # if it passed the level of e2
+    ctx, gens = gens_of(4, *PRIMES[61])
+    chain = bsgs_group(ctx, gens)._chain
+    assert [len(lvl.keys) for lvl in chain][-3:] == [1, 1, 2]
+    start = len(chain) - 3
+    words = gens[RNG.integers(0, 4, size=(200, 12))]
+    members = words[:, 0]
+    for i in range(1, 12):
+        members = mat_mul(ctx, members, words[:, i])
+    fix_e2 = random_mats(ctx, 200)
+    fix_e2[:, :, 1] = identity()[1]
+    fix_e23 = fix_e2.copy()
+    fix_e23[:, :, 2] = identity()[2]
+    move_e2 = random_mats(ctx, 50)
+    move_e2[:, :, 2] = identity()[2]
+    move_e2[:, :, 3] = chain[-1].t[chain[-1].edge >= 0][0][:, 3]  # e4's other orbit point
+    assert not (move_e2[:, :, 1] == identity()[1]).all(axis=1).any()
+    queries = np.concatenate([members, random_mats(ctx, 50), fix_e2, fix_e23, move_e2,
+                              mat_mul(ctx, members[:50], fix_e2[:50])])
+    for s in (0, start):
+        res = _sift(ctx, chain, s, queries)
+        assert np.array_equal(res, reference_sift(ctx, chain, s, queries))
+    levels = range(start, len(chain))
+    first_moved = {next((j for j in levels if matgroup._moves(ctx, chain[j].point, chain[j].line, m)),
+                        None) for m in _sift(ctx, chain, start, queries)}
+    assert {start, start + 1} <= first_moved
+
+
 def test_bsgs_elements_unavailable():
     ctx, gens = gens_of(4, -1, 2)
     chain = bsgs_group(ctx, gens)
@@ -682,12 +782,27 @@ def test_intersect_with_bsgs_side():
     assert meet.same_group(enumerate_group(ctx, gens[[1, 3]]))
 
 
+def all_vectors(ctx):
+    return np.stack(np.meshgrid(*[np.arange(ctx.q)] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+
+
+def fixing_count(ctx, small, big):
+    """How many elements of small fix every vector that big's generators all
+    fix, by brute force: the fixed vectors are found among all q^4 vectors,
+    and the elements of small are enumerated."""
+    vecs = all_vectors(ctx)
+    fixed = vecs[(mat_vec(ctx, big.gens[:, None], vecs[None]) == vecs).all(axis=(0, 2))]
+    elems = enumerate_group(ctx, small.gens).elements
+    return int((mat_vec(ctx, elems[:, None], fixed[None]) == fixed).all(axis=(1, 2)).sum())
+
+
 @pytest.mark.parametrize("batch", (8, 64))
 @pytest.mark.parametrize("q,listed", ((11, "2"), (19, "0")))
 def test_intersect_streams_the_smaller_side(q, listed, batch, monkeypatch):
     # k = 6: at q = 11, |G0| = 1,452 > |G2| = 1,320, so G2 is the listed
     # side; at q = 19, G0 is. A BATCH of 8 leaves two chain levels to index
-    # by mixed radix, 64 one
+    # by mixed radix, 64 one. A listed chain hands over only the elements
+    # that fix the vectors the other side fixes; an enumerated side all
     ctx, gens = gens_of(6, *PRIMES[q])
     bfs = {o: enumerate_group(ctx, gens[kept(o)]) for o in "02"}
     chains = {o: bsgs_group(ctx, gens[kept(o)]) for o in "02"}
@@ -708,7 +823,36 @@ def test_intersect_streams_the_smaller_side(q, listed, batch, monkeypatch):
         assert np.array_equal(meet._sorted_keys, want)
         small, big = (g2, g0) if listed == "2" else (g0, g2)
         assert all(h is big for h, _ in calls)
-        assert sum(n for _, n in calls) == small.order
+        handed = sum(n for _, n in calls)
+        if small._chain is None:
+            assert handed == small.order
+        else:
+            assert handed == fixing_count(ctx, small, big) < small.order
+
+
+def fixed_dim(ctx, group):
+    return len(_kernel(ctx, ctx.sub(group.gens, identity()).reshape(-1, 4), 4))
+
+
+@pytest.mark.parametrize("q", (4, 9, 11, 19, 29))
+@pytest.mark.parametrize("k", (3, 4, 5, 6))
+def test_intersect_matches_bfs_oracle(k, q):
+    # the meet of each check's pair, each side a chain or a closure, has
+    # the keys common to the two closures. Also: G0 against the full group,
+    # which at odd q fixes no vector (at q = 4 it can fix a plane), and <r3>
+    # and <r1> against <r1>, which fixes a space of dimension 3
+    ctx, gens = gens_of(k, *PRIMES[q])
+    omits = {o for pair in _CHECKS for o in pair} | {"012", "023"}
+    bfs = {o: enumerate_group(ctx, gens[kept(o)]) for o in omits}
+    chains = {o: bsgs_group(ctx, gens[kept(o)]) for o in omits}
+    for i, j in (*_CHECKS, ("012", "023"), ("023", "023")):
+        want = np.intersect1d(bfs[i]._sorted_keys, bfs[j]._sorted_keys)
+        for a, b in itertools.product((bfs[i], chains[i]), (bfs[j], chains[j])):
+            assert np.array_equal(a.intersect(b)._sorted_keys, want)
+    assert fixed_dim(ctx, bfs["023"]) == 3
+    full = bsgs_group(ctx, gens)
+    assert fixed_dim(ctx, full) == 0 or q == 4
+    assert np.array_equal(chains["0"].intersect(full)._sorted_keys, bfs["0"]._sorted_keys)
 
 
 def test_chain_listing_honors_cap(monkeypatch):
