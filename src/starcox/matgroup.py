@@ -278,18 +278,19 @@ class GroupHandle:
             raise ValueError("group is not enumerated")
         return _decode(self.ctx, self._sorted_keys)
 
-    def _batches(self, fixed: np.ndarray | None = None):
+    def _batches(self, fixed: np.ndarray | None):
         """Every element once, as int64 matrices, at most BATCH at a time. An
         enumerated group decodes slices of its keys. A chain lists the
         products t_0[i_0] t_1[i_1] ... of its transversals, skipping levels
         of one point: the products of the lower levels are formed once,
         while they fit in BATCH, and the upper levels are indexed by mixed
         radix, BATCH // len(tail) at a time, so a listed element costs about
-        one product. Given fixed, a 4 x d matrix, a chain lists only the
-        elements x = head tail with x fixed = fixed: each is tested as
+        one product. A chain lists only the elements x = head tail with
+        x fixed = fixed, fixed a 4 x d matrix: each is tested as
         head (tail fixed), d matrix-vector products, and only those that
-        pass are multiplied out. Listing a group whose order exceeds its cap
-        raises OverCapError before any product."""
+        pass are multiplied out; at d = 0 every element passes. An
+        enumerated group ignores fixed. Listing a group whose order exceeds
+        its cap raises OverCapError before any product."""
         if self.order > self.cap:
             raise OverCapError(f"closure exceeds cap {self.cap}")
         ctx = self.ctx
@@ -301,10 +302,9 @@ class GroupHandle:
         tail = identity()[None]
         while levels and len(tail) * len(levels[-1]) <= BATCH:
             tail = mat_mul(ctx, levels.pop()[:, None], tail[None]).reshape(-1, 4, 4)
-        if fixed is not None:
-            tail_fixed = mat_mul(ctx, tail, fixed)
+        tail_fixed = mat_mul(ctx, tail, fixed)
         if not levels:
-            yield tail if fixed is None else tail[(tail_fixed == fixed).all(axis=(1, 2))]
+            yield tail[(tail_fixed == fixed).all(axis=(1, 2))]
             return
         radix = [len(t) for t in levels]
         step, heads = BATCH // len(tail), math.prod(radix)
@@ -313,12 +313,9 @@ class GroupHandle:
             head = levels[0][digits[0]]
             for t, d in zip(levels[1:], digits[1:]):
                 head = mat_mul(ctx, head, t[d])
-            if fixed is None:
-                yield mat_mul(ctx, head[:, None], tail[None]).reshape(-1, 4, 4)
-            else:
-                keep = (mat_mul(ctx, head[:, None], tail_fixed[None]) == fixed).all(axis=(2, 3))
-                h, t = np.nonzero(keep)
-                yield mat_mul(ctx, head[h], tail[t])
+            keep = (mat_mul(ctx, head[:, None], tail_fixed[None]) == fixed).all(axis=(2, 3))
+            h, t = np.nonzero(keep)
+            yield mat_mul(ctx, head[h], tail[t])
 
     def contains_batch(self, mats: np.ndarray) -> np.ndarray:
         """Vectorized membership for a stack of matrices. On a chain a matrix
@@ -340,17 +337,17 @@ class GroupHandle:
         tie), whichever backend holds it, is listed BATCH elements at a time
         (``_batches``), and the meet is the sorted keys of the listed
         elements that the other side contains. Every element of the other
-        side fixes the vectors its generators all fix, so when that space
-        is not zero a listed chain yields only the elements that fix it
-        (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
-        ch. 4, prune by a property the other group keeps). An enumerated
-        listed side is decoded whole: listing it forms no product."""
+        side fixes the vectors its generators all fix, so a listed chain
+        yields only the elements that fix that space, every element when it
+        is zero (Holt, Eick and O'Brien, *Handbook of Computational Group
+        Theory*, ch. 4, prune by a property the other group keeps). An
+        enumerated listed side is decoded whole: listing it forms no
+        product."""
         ctx = self.ctx
         small, big = (other, self) if other.order < self.order else (self, other)
         fixed = None
         if small._chain is not None:
             fixed = _kernel(ctx, ctx.sub(big.gens, identity()).reshape(-1, 4), 4).T
-            fixed = fixed if fixed.shape[1] else None
         keys = [_keys(ctx, m[big.contains_batch(m)]) for m in small._batches(fixed)]
         meet = np.sort(np.concatenate(keys))
         return GroupHandle(ctx, _decode(ctx, meet), small.cap, meet)
