@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .builder import K_INF, StarParams, gram, reduced_generators, rho, torus_words
-from .matgroup import GroupHandle, element_order, identity, mat_inv, mat_mul
+from .matgroup import GroupHandle, identity, mat_inv, mat_mul
 from .ring import GoldenInt, GoldenPrime, PrimeClass, golden_legendre, rational_legendre
 
 
@@ -269,9 +269,11 @@ def _w_power(s: int) -> list[list[int]]:
 def torus_power_check(p: GoldenPrime) -> TorusCheck:
     """Verify the k=6 torus elements x = r1r3r1r3r1r2 and w = x^(-1) r3r1r3r2r1r2.
 
-    Both must have order s equal to the field characteristic, and their t-th
-    powers must match the quadratic closed forms entrywise for t up to s.
-    A mismatch raises AssertionError: it would falsify the torus structure.
+    Their t-th powers must match the quadratic closed forms entrywise at
+    t = 1..8 and t = s, the field characteristic. The closed forms at t = s
+    reduce to I, and at t = 1 they differ from I for s >= 5; s is prime, so
+    x and w both have order exactly s. A mismatch raises AssertionError: it
+    would falsify the torus structure.
     """
     if p.klass is PrimeClass.EVEN or p.char == 3:
         raise ValueError("torus check needs an odd prime not associate to 3")
@@ -279,10 +281,6 @@ def torus_power_check(p: GoldenPrime) -> TorusCheck:
     x, y = torus_words(ctx, g)
     w = mat_mul(ctx, mat_inv(ctx, x), y)
     s = ctx.char
-    order_x = element_order(ctx, x, cap=max(10_000, s + 1))
-    order_w = element_order(ctx, w, cap=max(10_000, s + 1))
-    if order_x != s or order_w != s:
-        raise AssertionError(f"torus orders ({order_x}, {order_w}) differ from s={s} at p={p.value}")
     checks = sorted({*range(1, min(s, 8) + 1), s})
     px, pw = identity(), identity()
     t = 0
@@ -294,4 +292,4 @@ def torus_power_check(p: GoldenPrime) -> TorusCheck:
             want = [[ctx.reduce(GoldenInt(v, 0)) for v in row] for row in form]
             if not (m == want).all():
                 raise AssertionError(f"torus closed form fails at power {tt}, p={p.value}")
-    return TorusCheck(s, order_x, order_w, len(checks))
+    return TorusCheck(s, s, s, len(checks))

@@ -19,12 +19,15 @@ only meet the two layers before them, and the store is sorted once, at the
 end. A Schreier-Sims level acts on vectors or on lines, a line keyed by its
 vector scaled so that its first nonzero entry is one, and stores its orbit
 as the sorted keys of its points, with the transversal as stacked arrays in
-the same order. One orbit loop builds every level, with two step rules:
+the same order. One method (``_Level.image_keys``) applies that action to
+the base point, for the sift, the Schreier generators and the joining rule
+alike. One orbit loop builds every level, with two step rules:
 breadth-first layers over several generators, and cyclic doubling of the
 cycle that one generator makes; either way the transversal is a Schreier
-tree, and the level records each point's parent and edge generator. One
-batched sift serves membership and the Schreier generators alike, and one
-rule (``_add_generator``) decides which levels a new strong generator joins:
+tree, and each step records the parent and edge generator of each point it
+finds, in the one order the points were found. One batched sift serves
+membership and the Schreier generators alike, and one rule
+(``_add_generator``) decides which levels a new strong generator joins:
 every level from where it enters up to the first base point it moves. The
 chain's base opens with isotropic lines of the symmetric form that the
 generators preserve, derived from the generators themselves, where there is
@@ -466,14 +469,17 @@ class _Level:
     fix every earlier base point, and the orbit of the point. A vector level
     acts on the point as a vector; a line level acts on the line it spans,
     each line keyed by its vector scaled so that its first nonzero entry is
-    one (``_point_keys``). The orbit is the sorted array of those keys; ``t``
-    and ``t_inv`` are stacked arrays in key order, so ``t[i]`` maps the point
-    to a vector of key ``keys[i]``. The transversal is a Schreier tree:
-    ``t[i]`` is ``gens[edge[i]] @ t[parent[i]]``, in key order, except at
-    the base point, whose parent and edge are -1. ``keys``, ``t``, ``t_inv``,
-    ``parent`` and ``edge`` are set by ``_build_orbit``, breadth-first or,
-    with one generator, by cyclic doubling; ``gens`` grow only through
-    ``_add_generator``."""
+    one (``_point_keys``). ``image_keys`` is the one place the action is
+    applied to the base point: the sift, the Schreier generators and the
+    joining rule all look up the images of the point through it. The orbit
+    is the sorted array of the keys of its points; ``t`` and ``t_inv`` are
+    stacked arrays in key order, so ``t[i]`` maps the point to a vector of
+    key ``keys[i]``. The transversal is a Schreier tree: ``t[i]`` is
+    ``gens[edge[i]] @ t[parent[i]]``, in key order, except at the base
+    point, whose parent and edge are -1. ``keys``, ``t``, ``t_inv``,
+    ``parent`` and ``edge`` are set by ``_build_orbit``, which records the
+    tree the same way under both of its step rules; ``gens`` grow only
+    through ``_add_generator``."""
 
     __slots__ = ("point", "line", "gens", "gen_invs", "keys", "t", "t_inv", "parent", "edge")
 
@@ -483,16 +489,14 @@ class _Level:
         self.gens: list[np.ndarray] = []
         self.gen_invs: list[np.ndarray] = []
 
+    def image_keys(self, ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:
+        """Keys of the images of the base point under a stack of matrices."""
+        return _point_keys(ctx, self.line, mat_vec(ctx, mats, self.point))
+
 
 def _point_keys(ctx: FieldCtx, line: bool, vecs: np.ndarray) -> np.ndarray:
     """Keys of a stack of vectors acted on as vectors, or as the lines they span."""
     return _keys(ctx, _lines(ctx, vecs) if line else vecs, 4)
-
-
-def _moves(ctx: FieldCtx, point: np.ndarray, line: bool, m: np.ndarray) -> bool:
-    """Does m move the point (or its line)?"""
-    keys = _point_keys(ctx, line, np.stack([point, mat_vec(ctx, m, point)]))
-    return bool(keys[0] != keys[1])
 
 
 def _base_candidates(ctx: FieldCtx, gens: np.ndarray) -> list[tuple[np.ndarray, bool]]:
@@ -525,13 +529,19 @@ def _build_orbit(ctx: FieldCtx, lvl: _Level, cap: int) -> None:
     far and the one step element is g^n, squared after each step, so t and
     t_inv are g^i and (g^-1)^i, as breadth-first search assigns them. The
     first image seen before is p itself (were g^L p = g^j p with 0 < j < L,
-    then g^(L-j) p = p would have come round first), so the cycle is closed
-    at the first step that meets one.
+    then g^(L-j) p = p would have come round first), so the fresh images of
+    a step are a prefix of its images, and the cycle is closed at the first
+    step that meets one.
 
-    The transversal is a Schreier tree: t of each point but p is g t of its
-    parent, g the generator on its edge. Breadth-first, the parent is the
-    source and g the step element; by cyclic doubling, the parent of g^i p
-    is g^(i-1) p and g is the one generator.
+    The transversal is a Schreier tree (Seress, *Permutation Group
+    Algorithms*, CUP 2003, 4.1): t of each point but p is g t of its
+    parent, g the generator on its edge. Each step records, for each new
+    point in the order found, its parent's index in that order and the
+    generator on its edge. Breadth-first, the parent is the source and the
+    edge the step element. By cyclic doubling a step takes its new points in
+    the order first reached, g^n p, g^(n+1) p, ..., so the points are found
+    in power order and the parent of each is the point found before it, by
+    the one generator.
 
     Rows are appended in the order found, in the compact dtype, and only
     the keys are kept sorted; one argsort at the end puts the rows in key
@@ -542,10 +552,7 @@ def _build_orbit(ctx: FieldCtx, lvl: _Level, cap: int) -> None:
     keys = _point_keys(ctx, lvl.line, vecs)
     t = t_inv = identity()[None]
     found, ts, t_invs = [keys], [t.astype(compact)], [t_inv.astype(compact)]
-    # the tree in found order: breadth-first, the parent and step element of
-    # each point after p (src0 is the found index of vecs[0]); by cyclic
-    # doubling, the power i of each point g^i p
-    parents, edges, src0, powers = [], [], 0, np.zeros(1, dtype=np.int64)
+    parents, edges = [np.zeros(1, dtype=np.int64)], [np.full(1, -1)]
     while len(vecs):
         imgs = mat_vec(ctx, steps[:, None], vecs[None]).reshape(-1, 4)
         cand, first = np.unique(_point_keys(ctx, lvl.line, imgs), return_index=True)
@@ -553,37 +560,36 @@ def _build_orbit(ctx: FieldCtx, lvl: _Level, cap: int) -> None:
         cand, first = cand[fresh], first[fresh]
         if len(keys) + len(cand) > cap:
             raise OverCapError(f"orbit exceeds cap {cap}")
+        keys = np.insert(keys, np.searchsorted(keys, cand), cand)
+        if len(steps) == 1:  # the insert takes key order; the tree takes power order
+            by_first = np.argsort(first)
+            cand, first = cand[by_first], first[by_first]
         s, f = np.divmod(first, len(vecs))  # step element and source of each new point
         new = imgs[first], mat_mul(ctx, steps[s], t[f]), mat_mul(ctx, t_inv[f], step_invs[s])
-        keys = np.insert(keys, np.searchsorted(keys, cand), cand)
         found.append(cand)
         ts.append(new[1].astype(compact))
         t_invs.append(new[2].astype(compact))
+        # each new point's parent, as an index in found order: breadth-first
+        # its source, one of the last len(vecs) points found; by cyclic
+        # doubling the point found before it, g^(n+f-1) p before g^(n+f) p
+        back = len(vecs) if len(steps) > 1 else 1
+        parents.append(len(keys) - len(cand) - back + f)
+        edges.append(s)
         if len(steps) > 1:
-            parents.append(src0 + f)
-            edges.append(s)
-            src0 = len(keys) - len(cand)
             vecs, t, t_inv = new
             continue
-        powers = np.concatenate([powers, len(vecs) + powers[f]])
         if len(cand) < len(vecs):  # p has come round
             break
         vecs, t, t_inv = (np.concatenate(pair) for pair in zip((vecs, t, t_inv), new))
         steps, step_invs = mat_mul(ctx, steps, steps), mat_mul(ctx, step_invs, step_invs)
     order = np.argsort(np.concatenate(found))
-    if len(steps) > 1:
-        parent = np.concatenate([[0], *parents])
-        edge = np.concatenate([[-1], *edges])
-    else:
-        parent = np.argsort(powers)[powers - 1]
-        edge = np.where(powers > 0, 0, -1)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     lvl.keys = keys
     lvl.t = np.concatenate(ts)[order].astype(np.int64)
     lvl.t_inv = np.concatenate(t_invs)[order].astype(np.int64)
-    lvl.edge = edge[order]
-    lvl.parent = np.where(lvl.edge >= 0, rank[parent[order]], -1)
+    lvl.edge = np.concatenate(edges)[order]
+    lvl.parent = np.where(lvl.edge >= 0, rank[np.concatenate(parents)[order]], -1)
 
 
 def _sift(ctx: FieldCtx, chain: list[_Level], start: int, mats: np.ndarray) -> np.ndarray:
@@ -595,7 +601,7 @@ def _sift(ctx: FieldCtx, chain: list[_Level], start: int, mats: np.ndarray) -> n
     res = np.empty_like(work)
     live = np.arange(len(work))
     for lvl in chain[start:]:
-        pos = _find(lvl.keys, _point_keys(ctx, lvl.line, mat_vec(ctx, work, lvl.point)))
+        pos = _find(lvl.keys, lvl.image_keys(ctx, work))
         out = pos < 0
         res[live[out]] = work[out]
         live, work = live[~out], work[~out]
@@ -622,7 +628,7 @@ def _schreier_generators(ctx: FieldCtx, lvl: _Level) -> np.ndarray:
         sources = np.flatnonzero(~skip)
         for i in range(0, len(sources), BATCH):
             prods = mat_mul(ctx, g, lvl.t[sources[i : i + BATCH]])
-            pos = _find(lvl.keys, _point_keys(ctx, lvl.line, mat_vec(ctx, prods, lvl.point)))
+            pos = _find(lvl.keys, lvl.image_keys(ctx, prods))
             keys.append(_keys(ctx, mat_mul(ctx, lvl.t_inv[pos], prods)))
     return sorted_unique(np.concatenate(keys))
 
@@ -643,7 +649,8 @@ def _add_generator(
     while True:
         if last == len(chain):
             chain.append(_Level(*candidates[last]))
-        if _moves(ctx, chain[last].point, chain[last].line, m):
+        here, there = chain[last].image_keys(ctx, np.stack([identity(), m]))
+        if here != there:
             break
         last += 1
     minv = mat_inv(ctx, m)

@@ -1,7 +1,8 @@
 """Every module of the library and of the tests uses each name it imports,
 the package's ``__all__`` lists exactly what it imports, every definition in
-the library is referenced somewhere, and the library never asks numpy for a
-bare ``np.unique``."""
+the library is referenced somewhere, the library never asks numpy for a
+bare ``np.unique``, and a chain level's action on its base point is applied
+in one function."""
 
 from __future__ import annotations
 
@@ -132,6 +133,27 @@ def test_no_bare_np_unique():
         for line in bare_unique_calls(ast.parse(p.read_text(encoding="utf-8")))
     ]
     assert bare == []
+
+
+def point_action_sites(tree: ast.Module) -> list[str]:
+    """Names of the functions that call mat_vec on a ``.point`` attribute."""
+    return sorted({
+        fn.name for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "mat_vec"
+        and any(isinstance(a, ast.Attribute) and a.attr == "point"
+                for arg in n.args for a in ast.walk(arg))
+    })
+
+
+def test_one_point_action():
+    # a chain level's action on its base point is applied in one function,
+    # so a new kind of base point changes that function alone
+    probe = ast.parse("def f(lvl):\n    return mat_vec(c, m, lvl.point[None])\n"
+                      "def g(v):\n    return mat_vec(c, m, v)\n")
+    assert point_action_sites(probe) == ["f"]
+    tree = ast.parse((ROOT / "src" / "starcox" / "matgroup.py").read_text(encoding="utf-8"))
+    assert point_action_sites(tree) == ["image_keys"]
 
 
 # the odd classes label a prime for the congruence path and the output; the

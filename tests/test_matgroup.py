@@ -708,6 +708,34 @@ def test_schreier_generators_skip_only_identities(k, q, omit):
                               sorted_unique(np.concatenate([want, ident])))
 
 
+def tree_digest(chain):
+    h = hashlib.sha256()
+    for lvl in chain:
+        for arr in (lvl.point, [lvl.line], lvl.keys, lvl.t, lvl.t_inv, lvl.parent, lvl.edge,
+                    lvl.gens, lvl.gen_invs):
+            h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "k,q,omit,digest",
+    [(3, 19, "", "ce83ecdb670ef8006572afc6d9c454a56d53d305dbbd4a46917714bcdd25e453"),
+     (6, 19, "", "255066a85a94fff8e4f213e161d82f4edb2338a1178a9519c5eec715ac79a356"),
+     (3, 29, "", "d45de82ddf9b181df67e0831c517d4f035b419a2247a7d64285a7f093a3877f2"),
+     (3, 61, "", "621019c2151ed84194e9577610f99683ec3cdfb5d3fc8a3168b167c962cb5329"),
+     (3, 169, "", "b288abbbbff505a08e998e9ef2a0e32c5ff2c2fa26d55461711ea91767099765"),
+     (6, 59, "0", "f5d33af81f3a262e862a22a54a7c553d642f32c28aa913dc4026043c318e61e8"),
+     (6, 59, "2", "4d95a4e7b29ba321578550c6df5b3577fc32af348bb2f88e5443b7a7bde269b9")],
+    ids=["k3-q19", "k6-q19", "k3-q29", "k3-q61", "k3-q169", "G0-k6-q59", "G2-k6-q59"],
+)
+def test_schreier_trees_are_pinned(k, q, omit, digest):
+    # every level's base point, orbit keys, transversal, Schreier tree
+    # (parent and edge) and generators, as built when breadth-first layers
+    # and cyclic doubling each kept a tree record of their own
+    ctx, gens = gens_of(k, *PRIMES[q])
+    assert tree_digest(bsgs_group(ctx, gens[kept(omit)])._chain) == digest
+
+
 def reference_sift(ctx, chain, start, mats):
     """Residues through chain[start:] with a transversal product at every
     level, one-point levels included."""
@@ -749,8 +777,13 @@ def test_sift_through_one_point_levels_matches_reference():
         res = _sift(ctx, chain, s, queries)
         assert np.array_equal(res, reference_sift(ctx, chain, s, queries))
     levels = range(start, len(chain))
-    first_moved = {next((j for j in levels if matgroup._moves(ctx, chain[j].point, chain[j].line, m)),
-                        None) for m in _sift(ctx, chain, start, queries)}
+
+    def moves(lvl, m):
+        here, there = lvl.image_keys(ctx, np.stack([identity(), m]))
+        return here != there
+
+    first_moved = {next((j for j in levels if moves(chain[j], m)), None)
+                   for m in _sift(ctx, chain, start, queries)}
     assert {start, start + 1} <= first_moved
 
 
