@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .builder import K_INF, StarParams, gram, reduced_generators, rho, torus_words
-from .matgroup import GroupHandle, identity, mat_inv, mat_mul
+from .matgroup import GroupHandle, mat_inv, mat_mul, mat_pow
 from .ring import GoldenInt, GoldenPrime, PrimeClass, golden_legendre, rational_legendre
 
 
@@ -270,10 +270,11 @@ def torus_power_check(p: GoldenPrime) -> TorusCheck:
     """Verify the k=6 torus elements x = r1r3r1r3r1r2 and w = x^(-1) r3r1r3r2r1r2.
 
     Their t-th powers must match the quadratic closed forms entrywise at
-    t = 1..8 and t = s, the field characteristic. The closed forms at t = s
-    reduce to I, and at t = 1 they differ from I for s >= 5; s is prime, so
-    x and w both have order exactly s. A mismatch raises AssertionError: it
-    would falsify the torus structure.
+    t = 1..8 and t = s, the field characteristic, each power taken by
+    square-and-multiply (``mat_pow``). The closed forms at t = s reduce to
+    I, and at t = 1 they differ from I for s >= 5; s is prime, so x and w
+    both have order exactly s. A mismatch raises AssertionError: it would
+    falsify the torus structure.
     """
     if p.klass is PrimeClass.EVEN or p.char == 3:
         raise ValueError("torus check needs an odd prime not associate to 3")
@@ -282,13 +283,8 @@ def torus_power_check(p: GoldenPrime) -> TorusCheck:
     w = mat_mul(ctx, mat_inv(ctx, x), y)
     s = ctx.char
     checks = sorted({*range(1, min(s, 8) + 1), s})
-    px, pw = identity(), identity()
-    t = 0
     for tt in checks:
-        while t < tt:
-            px, pw = mat_mul(ctx, px, x), mat_mul(ctx, pw, w)
-            t += 1
-        for m, form in ((px, _x_power(tt)), (pw, _w_power(tt))):
+        for m, form in ((mat_pow(ctx, x, tt), _x_power(tt)), (mat_pow(ctx, w, tt), _w_power(tt))):
             want = [[ctx.reduce(GoldenInt(v, 0)) for v in row] for row in form]
             if not (m == want).all():
                 raise AssertionError(f"torus closed form fails at power {tt}, p={p.value}")

@@ -31,16 +31,20 @@ membership and the Schreier generators alike, and one rule
 every level from where it enters up to the first base point it moves. The
 chain's base opens with isotropic lines of the symmetric form that the
 generators preserve, derived from the generators themselves, where there is
-a single nondegenerate one. Schreier-Sims is incremental: a level's Schreier
-generators are formed once per orbit build, without the pairs that give the
-identity by construction (tree edges and their reverses), and a revisit
-sifts only those after the one whose residue was last added. A sift passes
-a level of one point by its key test alone. An intersection lists the side
-of smaller order, from either backend, BATCH elements at a time (slices of
-an enumerated group's keys, or products of a chain's transversals), and
-keeps those the other side contains; a listed chain yields only the
-elements that fix the vectors the other side's generators all fix, and
-listing a chain is bounded by the cap it was built with.
+a single nondegenerate one on F_q^4. Where there is not, the base is drawn
+from the root span W, the sum of the images of g - I, which the generators
+map to itself: isotropic lines of a single nondegenerate form on W, when W
+has dimension 3, and W's basis vectors otherwise. Schreier-Sims is
+incremental: a level's Schreier generators are formed once per orbit build,
+without the pairs that give the identity by construction (tree edges and
+their reverses), and a revisit sifts only those after the one whose residue
+was last added. A sift passes a level of one point by its key test alone.
+An intersection lists the side of smaller order, from either backend, BATCH
+elements at a time (slices of an enumerated group's keys, or products of a
+chain's transversals), and keeps those the other side contains; a listed
+chain yields only the elements that fix the vectors the other side's
+generators all fix, and listing a chain is bounded by the cap it was built
+with. ``mat_pow`` takes powers by square-and-multiply.
 """
 
 from __future__ import annotations
@@ -135,6 +139,19 @@ def element_order(ctx: FieldCtx, m: np.ndarray, cap: int = 10_000) -> int:
             return n
         p = mat_mul(ctx, p, m)
     raise OverCapError(f"element order exceeds {cap}")
+
+
+def mat_pow(ctx: FieldCtx, m: np.ndarray, n: int) -> np.ndarray:
+    """m^n, n >= 0, by square-and-multiply: at most 2 log2 n products.
+    Broadcasts over a stack of matrices."""
+    out, base = np.broadcast_to(identity(), m.shape).copy(), m
+    while n:
+        if n & 1:
+            out = mat_mul(ctx, out, base)
+        n >>= 1
+        if n:
+            base = mat_mul(ctx, base, base)
+    return out
 
 
 def _compact_dtype(ctx: FieldCtx) -> np.dtype:
@@ -395,11 +412,13 @@ def enumerate_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
 
 def _invariant_form(ctx: FieldCtx, gens: np.ndarray) -> np.ndarray | None:
     """The symmetric form B with g^T B g = B for every generator, found by
-    solving for the ten entries of B on and above the diagonal. None unless
-    those forms make a one-dimensional space whose B is nondegenerate."""
-    iu, ju = np.triu_indices(4)
+    solving for the d(d + 1)/2 entries of B on and above the diagonal, d the
+    size of the generators. None unless those forms make a one-dimensional
+    space whose B is nondegenerate."""
+    d = gens.shape[-1]
+    iu, ju = np.triu_indices(d)
     n = len(iu)  # the unknowns: entry (iu[u], ju[u]) of B
-    basis = np.zeros((n, 4, 4), dtype=np.int64)
+    basis = np.zeros((n, d, d), dtype=np.int64)
     basis[np.arange(n), iu, ju] = basis[np.arange(n), ju, iu] = 1
     # the equation of generator g and entry (a, b), a <= b, has coefficient
     # (g^T E_u g - E_u)[a, b] at unknown u, E_u the form with B_u = 1
@@ -408,9 +427,9 @@ def _invariant_form(ctx: FieldCtx, gens: np.ndarray) -> np.ndarray | None:
     solutions = _kernel(ctx, coeffs.transpose(0, 2, 1).reshape(-1, n), n)
     if len(solutions) != 1:
         return None
-    form = np.zeros((4, 4), dtype=np.int64)
+    form = np.zeros((d, d), dtype=np.int64)
     form[iu, ju] = form[ju, iu] = solutions[0]
-    return form if len(_row_reduce(ctx, form, 4)[1]) == 4 else None
+    return form if len(_row_reduce(ctx, form, d)[1]) == d else None
 
 
 def _lines(ctx: FieldCtx, vecs: np.ndarray) -> np.ndarray:
@@ -420,9 +439,9 @@ def _lines(ctx: FieldCtx, vecs: np.ndarray) -> np.ndarray:
 
 
 def _isotropic_pair(ctx: FieldCtx, form: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two isotropic points l1, l2 of a nondegenerate symmetric form B over
-    F_q, q odd, with B(l1, l2) != 0, each scaled so that its first nonzero
-    entry is one.
+    """Two isotropic points l1, l2 of a nondegenerate symmetric form B on
+    F_q^d, q odd and d >= 3, with B(l1, l2) != 0, each scaled so that its
+    first nonzero entry is one.
 
     l1: Gram-Schmidt on the standard basis yields orthogonal f1, f2, f3 with
     d_i = B(f_i, f_i) != 0, unless it meets an isotropic vector first, which
@@ -440,7 +459,7 @@ def _isotropic_pair(ctx: FieldCtx, form: np.ndarray) -> tuple[np.ndarray, np.nda
         return ctx.mul(u, ctx.inv(v))
 
     def isotropic_vector() -> np.ndarray:
-        frame, diag = list(identity()), []  # frame spans the complement of the f_i
+        frame, diag = list(unit), []  # frame spans the complement of the f_i
         while True:
             norms = [bil(w, w) for w in frame]
             if 0 in norms:
@@ -457,10 +476,11 @@ def _isotropic_pair(ctx: FieldCtx, form: np.ndarray) -> tuple[np.ndarray, np.nda
                 return ctx.add(ctx.add(ctx.mul(x, f1), ctx.mul(y, f2)), f3)
         raise AssertionError("a nondegenerate ternary form over F_q is isotropic")
 
+    unit = np.eye(len(form), dtype=np.int64)
     l1 = isotropic_vector()
     bl1 = [int(x) for x in mat_vec(ctx, form, l1)]
     j = next(j for j, x in enumerate(bl1) if x)
-    l2 = ctx.sub(identity()[j], ctx.mul(over(int(form[j, j]), ctx.add(bl1[j], bl1[j])), l1))
+    l2 = ctx.sub(unit[j], ctx.mul(over(int(form[j, j]), ctx.add(bl1[j], bl1[j])), l1))
     return _lines(ctx, l1), _lines(ctx, l2)
 
 
@@ -500,18 +520,34 @@ def _point_keys(ctx: FieldCtx, line: bool, vecs: np.ndarray) -> np.ndarray:
 
 
 def _base_candidates(ctx: FieldCtx, gens: np.ndarray) -> list[tuple[np.ndarray, bool]]:
-    """The base points a chain draws from, in order: when the generators
-    preserve a single nondegenerate symmetric form, up to scalars, over a
-    field of odd order, two isotropic points l1 and l2 with B(l1, l2) != 0
-    give l1 as a line, l2 as a line and l1 as a vector; the standard basis
-    vectors always follow, so that only the identity fixes every candidate.
-    Each is a pair (point, line)."""
+    """The base points a chain draws from, in order. Over a field of odd
+    order, where the generators preserve a single nondegenerate symmetric
+    form B on F_q^4, up to scalars, two isotropic points l1 and l2 with
+    B(l1, l2) != 0 give l1 as a line, l2 as a line and l1 as a vector.
+    Where they preserve none or several, the points come from the root span
+    W, the sum of the images im(g - I), which every generator maps into
+    itself: when W has dimension 3 and a single nondegenerate form, an
+    isotropic pair of that form opens the sequence the same way, and
+    otherwise W's basis vectors, in reduced echelon form, open it as vectors.
+    The standard basis vectors always follow, so that only the identity fixes
+    every candidate. Each is a pair (point, line)."""
     basis = [(e, False) for e in identity()]
-    # the isotropic search divides by 2
-    form = _invariant_form(ctx, gens) if ctx.q % 2 else None
-    if form is None:
+    if ctx.q % 2 == 0:  # the isotropic search divides by 2
         return basis
-    l1, l2 = _isotropic_pair(ctx, form)
+    span = identity()
+    form = _invariant_form(ctx, gens)
+    if form is None:
+        rows, pivots = _row_reduce(ctx, np.swapaxes(ctx.sub(gens, span), 1, 2).reshape(-1, 4), 4)
+        span = rows[: len(pivots)]
+        if len(span) == 4:  # W is F_q^4, whose forms were just solved for
+            return basis
+        # a vector of W has its coordinates at the pivots, so g acts on W by
+        # the pivot rows of g span^T
+        if len(span) == 3:
+            form = _invariant_form(ctx, mat_mul(ctx, gens, span.T)[:, pivots])
+        if form is None:
+            return [(v, False) for v in span] + basis
+    l1, l2 = (_lines(ctx, ctx.mul(l, span, np.matmul)) for l in _isotropic_pair(ctx, form))
     return [(l1, True), (l2, True), (l1, False), *basis]
 
 
@@ -672,13 +708,17 @@ def bsgs_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
     "Selecting base points for the Schreier-Sims algorithm for matrix
     groups", J. Symbolic Comput. 19 (1995)). An orthogonal group's orbit on
     isotropic lines has about q^2 points, against about q^3 for its orbit on
-    vectors. The standard basis vectors always follow; a group with no such
-    form, or with several, is based on them alone. One rule places every
-    strong generator, input or residue (``_add_generator``): it joins each
-    level from where it enters up to the first base point it moves, and one
-    that fixes every base point appends the next candidates, up to the first
-    one that it moves, so the base is always a prefix of the sequence (and a
-    level can keep an orbit of one point). Orbits are built by one loop
+    vectors. A group with no such form on F_q^4, or with several, is based
+    on its root span W, the sum of the images im(g - I), which it maps to
+    itself: on two isotropic lines of W and the first as a vector, the same
+    way, when W has dimension 3 and a single nondegenerate form (the orbit
+    on them is a conic of q + 1 lines, against about q^2 points for the
+    orbit of a standard basis vector), and on W's basis vectors otherwise. The standard basis vectors always follow. One rule places
+    every strong generator, input or residue (``_add_generator``): it joins
+    each level from where it enters up to the first base point it moves, and
+    one that fixes every base point appends the next candidates, up to the
+    first one that it moves, so the base is always a prefix of the sequence
+    (and a level can keep an orbit of one point). Orbits are built by one loop
     (``_build_orbit``): breadth-first, or by cyclic doubling on a level with
     one generator. An orbit of more than cap points raises OverCapError. The
     base only decides which Schreier generators are sifted, so the order is

@@ -7,18 +7,28 @@ import dataclasses
 import numpy as np
 import pytest
 
-from starcox.builder import K_INF, StarParams, kept, reduced_generators
+from starcox.builder import K_INF, StarParams, kept, reduced_generators, torus_words
 from starcox import cgroup, classify
 from starcox.classify import OrderMismatchError, classify_rank3
 from starcox.cgroup import (
     _CHECKS,
+    _torus_certifies_g0,
     _union,
     lemma41_check,
     replacement_generator,
     verify_cgroup,
 )
-from starcox.matgroup import element_order, enumerate_group, identity, mat_mul, mat_vec
-from starcox.ring import GoldenInt, PrimeClass, classify_prime, primes_up_to_norm
+from starcox.matgroup import (
+    _row_reduce,
+    element_order,
+    enumerate_group,
+    identity,
+    mat_inv,
+    mat_mul,
+    mat_pow,
+    mat_vec,
+)
+from starcox.ring import GoldenInt, PrimeClass, classify_prime, parse_golden, primes_up_to_norm
 
 SQRT5 = classify_prime(GoldenInt(-1, 2))
 P2 = classify_prime(GoldenInt(2, 0))
@@ -210,6 +220,60 @@ def test_backend_rule_builds_chains_past_the_limit(monkeypatch, k, p, chains):
     assert rep.is_cgroup
     assert built == [rep.subgroup_orders[f"G{omit}"] for omit in chains]
     assert all(n > classify.ENUMERATE_LIMIT for n in built)
+
+
+# ---------------------------------------------------------------------------
+# the torus certificate |G0| >= s^2 at k = 6
+
+
+@pytest.mark.parametrize("prime", ["2", "3", "-4-1t", "7", "-7-2t", "13", "-13-3t", "32005+1t"])
+def test_torus_words_certify_g0(prime):
+    # q = 4, 9, 19, 49, 59, 169, 199 and 1,024,352,029
+    ctx, gens, _ = reduced_generators(params(6, classify_prime(parse_golden(prime))))
+    assert _torus_certifies_g0(ctx, gens)
+
+
+def torus_facts(ctx, x, w):
+    """The five facts the certificate rests on, each checked on its own."""
+    ident = identity()
+    n = ctx.sub(x, ident)
+    rank = [len(_row_reduce(ctx, np.stack(m).reshape(len(m), 16), 16)[1])
+            for m in ([n, mat_mul(ctx, n, n)], [n, mat_mul(ctx, n, n), ctx.sub(w, ident)])]
+    return {
+        "x is not I": not np.array_equal(x, ident),
+        "x^s = w^s = I": all(np.array_equal(mat_pow(ctx, m, ctx.char), ident) for m in (x, w)),
+        "(x - I)^3 = 0": not mat_pow(ctx, n, 3).any(),
+        "x w = w x": np.array_equal(mat_mul(ctx, x, w), mat_mul(ctx, w, x)),
+        "w - I outside span(N, N^2)": rank[1] > rank[0],
+    }
+
+
+def test_torus_certificate_refuses_each_failed_step(monkeypatch):
+    # each pair (x, w) breaks one fact alone, and the certificate is refused:
+    # the bound it would give is false for every one of them but the last
+    # (a w that does not commute with x could still lie in a large group,
+    # but the certificate does not know it)
+    p = params(6, P59)
+    ctx, gens, _ = reduced_generators(p)
+    x, y = torus_words(ctx, gens)
+    w = mat_mul(ctx, mat_inv(ctx, x), y)
+    ident = identity()
+    jordan = ident.copy()
+    jordan[[0, 1, 2], [1, 2, 3]] = 1  # one unipotent Jordan block: order s, (x - I)^3 != 0
+    cases = {
+        "x is not I": (ident, w),
+        "x^s = w^s = I": (x, ctx.neg(w)),  # -w has order 2s
+        "(x - I)^3 = 0": (jordan, mat_pow(ctx, jordan, 3)),  # w in <x>
+        "x w = w x": (x, x.T),
+        "w - I outside span(N, N^2)": (x, mat_pow(ctx, x, 2)),  # w in <x>
+    }
+    assert all(torus_facts(ctx, x, w).values())
+    for broken, (bx, bw) in cases.items():
+        facts = torus_facts(ctx, bx, bw)
+        assert [f for f, ok in facts.items() if not ok] == [broken]
+        words = (bx, mat_mul(ctx, bx, bw))  # y = x w
+        monkeypatch.setattr(cgroup, "torus_words", lambda ctx, g, words=words: words)
+        assert not _torus_certifies_g0(ctx, gens)
 
 
 def wrong_rank3(monkeypatch):

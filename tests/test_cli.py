@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starcox
-from starcox import cli
+from starcox import cgroup, cli, matgroup
 from starcox.cgroup import IntersectionReport
 from starcox.cli import main
 
@@ -136,14 +136,65 @@ def test_chain_orbit_honors_cap(capsys):
 )
 def test_g0_order_honors_cap(capsys, prime, cap):
     # k = 6, G0 a stabilizer chain whose order passes the cap while its
-    # orbits fit it: 41,772 elements in orbits of at most 3,481 points at
-    # q = 59, 1,452 in orbits of at most 121 at q = 11. G0's order stops the
+    # orbits fit it: 41,772 elements in orbits of at most 354 points at
+    # q = 59, 1,452 in orbits of at most 66 at q = 11. G0's order stops the
     # run, as its closure did, with the closure's message: at cap 3500 before
-    # G2's 3,540-point orbit is built, and at q = 11 although the smaller
-    # side of G0 & G2, which is listed, is G2 (1,320 elements)
+    # G2 is built, and at q = 11 although the smaller side of G0 & G2, which
+    # is listed, is G2 (1,320 elements)
     rc, _, err = run(capsys, "verify", "--k", "6", "--prime", prime, "--cap", cap)
     assert rc == 4
     assert f"closure exceeds cap {cap}" in err
+
+
+def verify_exit(capsys, k, prime, cap):
+    return run(capsys, "verify", "--k", str(k), "--prime", prime, "--cap", str(cap))[0]
+
+
+@pytest.mark.parametrize("prime", ["-4-1t", "-7-2t", "13", "8+37t", "1000+1t", "32005+1t"])
+def test_torus_certificate_moves_no_exit_code(capsys, monkeypatch, prime):
+    # k = 6 at q = 19, 59, 169, 1009, 1,000,999 and 1,024,352,029, at caps
+    # about 6s and s^2 (s the characteristic), and about 12 s^2 where a run
+    # stays small: verify exits 4 exactly below |G0| = 12 s^2. Where s^2
+    # passes the cap, the torus certificate stops the run before G0 is
+    # built, and with the certificate refused the build exits 4 all the same
+    s = starcox.classify_prime(starcox.parse_golden(prime)).char
+    caps = {c + d for c in (6 * s, s * s, 12 * s * s) for d in (-1, 0)} | {1000, 50_000}
+    for cap in sorted(c for c in caps if c <= 50_000 or s < 2_000):
+        want = 4 if cap < 12 * s * s else 0
+        assert verify_exit(capsys, 6, prime, cap) == want
+        if s * s > cap:
+            with monkeypatch.context() as mp:
+                mp.setattr(cgroup, "_torus_certifies_g0", lambda ctx, gens: False)
+                assert verify_exit(capsys, 6, prime, cap) == want
+
+
+@pytest.mark.parametrize("prime,cap", [("32005+1t", matgroup.DEFAULT_CAP), ("8+37t", 1009**2 - 1)])
+def test_torus_certificate_stops_before_any_orbit(capsys, monkeypatch, prime, cap):
+    # q = 1,024,352,029 at the default cap, where G0's first orbit of 6s
+    # points is far past it, and q = 1009 at cap s^2 - 1, where G0's orbits
+    # (6,054 and 2,018 points) fit it: the certificate |G0| >= s^2 exits 4
+    # before any orbit is built, with the message of G0's order check
+    def no_orbit(*args):
+        raise AssertionError("an orbit was built")
+
+    monkeypatch.setattr(matgroup, "_build_orbit", no_orbit)
+    rc, _, err = run(capsys, "verify", "--k", "6", "--prime", prime, "--cap", str(cap))
+    assert rc == 4
+    assert f"closure exceeds cap {cap}" in err
+
+
+def test_root_span_base_answers_below_the_vector_orbit(capsys):
+    # k = 4 at -7-2t (q = 59): G2's chain on its root span has orbits of at
+    # most 60 points, against 3,422 for a chain on standard basis vectors,
+    # so caps from 120 (the closure of H3) to 3,421 answer, as the default
+    # cap does
+    default = run(capsys, "verify", "--k", "4", "--prime", "-7-2t", "--format", "json")
+    assert default[0] == 0
+    for cap in ("120", "3421"):
+        rc, out, _ = run(capsys, "verify", "--k", "4", "--prime", "-7-2t", "--cap", cap,
+                         "--format", "json")
+        assert (rc, out) == default[:2]
+    assert verify_exit(capsys, 4, "-7-2t", 119) == 4
 
 
 def test_field_too_large_exits_3(capsys):

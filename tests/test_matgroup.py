@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from starcox import matgroup
 from starcox.builder import StarParams, kept, reduced_generators
 from starcox.cgroup import _CHECKS
-from starcox.classify import classify_rank4
+from starcox.classify import classify_rank4, subgroup_backend
 from starcox.field import build_field
 from starcox.matgroup import (
     OverCapError,
@@ -136,8 +136,24 @@ def test_element_order_basics():
 # keys
 
 # one prime of each field size the key tests use
-PRIMES = {4: (2, 0), 5: (-1, 2), 9: (3, 0), 11: (3, 1), 19: (-4, -1), 29: (-5, -1), 59: (-7, -2),
-          61: (-7, -3), 169: (13, 0), 269: (-15, -4)}
+PRIMES = {4: (2, 0), 5: (-1, 2), 9: (3, 0), 11: (3, 1), 19: (-4, -1), 29: (-5, -1), 49: (7, 0),
+          59: (-7, -2), 61: (-7, -3), 169: (13, 0), 269: (-15, -4)}
+
+
+def test_mat_pow_squares_and_multiplies(monkeypatch):
+    # the powers of a stack match repeated products; m^90901 (17 bits, eight
+    # of them set) takes 16 squarings and 8 products
+    ctx = ctx_of(*PRIMES[59])
+    m = random_mats(ctx, 3)
+    power = np.broadcast_to(identity(), m.shape)
+    for n in range(20):
+        assert np.array_equal(matgroup.mat_pow(ctx, m, n), power)
+        power = mat_mul(ctx, power, m)
+    calls = []
+    inner = matgroup.mat_mul
+    monkeypatch.setattr(matgroup, "mat_mul", lambda *a: calls.append(1) or inner(*a))
+    matgroup.mat_pow(ctx, m, 90_901)
+    assert len(calls) == 16 + 8
 
 
 def test_key_dtype_per_field():
@@ -575,11 +591,77 @@ def test_invariant_form_is_preserved(k, prime):
 @pytest.mark.parametrize("prime", [(2, 0), (7, 2), (8, 1)])
 def test_rank3_subgroup_has_no_single_form(prime):
     # G2 = <r0, r1, r3> preserves a two-dimensional space of symmetric forms
-    # (q = 4, 59, 71), so its chain stays on standard basis vectors
+    # on F_q^4 (q = 4, 59, 71), but a single nondegenerate one on its
+    # three-dimensional root span W: at odd q its chain opens with two
+    # isotropic lines of W, and level 0 is the q + 1 isotropic lines of W,
+    # a conic. At q = 4 its chain stays on vectors
     ctx, gens = gens_of(6, *prime)
     assert _invariant_form(ctx, gens[kept("2")]) is None
     chain = bsgs_group(ctx, gens[kept("2")])._chain
-    assert not any(lvl.line for lvl in chain)
+    if ctx.q % 2 == 0:
+        assert not any(lvl.line for lvl in chain)
+        return
+    assert [lvl.line for lvl in chain[:3]] == [True, True, False]
+    assert np.array_equal(chain[0].point, chain[2].point)
+    assert len(chain[0].keys) == ctx.q + 1
+    assert all(lvl.point[2] == 0 for lvl in chain[:3])  # W is spanned by e1, e2, e4
+
+
+@pytest.mark.parametrize("q", [19, 49, 59, 61, 169])
+def test_torus_group_runs_on_its_root_span(q):
+    # G0 = <r1, r2, r3> at k = 6, of order 12 s^2, preserves no nondegenerate
+    # form on its root span W = <e2, e3, e4>, so its chain opens with W's
+    # basis vectors: orbits of 6s and 2s points, s the characteristic,
+    # against s^2 points for the orbit of e1
+    ctx, gens = gens_of(6, *PRIMES[q])
+    s = ctx.char
+    group = bsgs_group(ctx, gens[kept("0")])
+    chain = group._chain
+    assert [len(lvl.keys) for lvl in chain] == [6 * s, 2 * s]
+    assert [(lvl.point.tolist(), lvl.line) for lvl in chain] == [
+        ([0, 1, 0, 0], False), ([0, 0, 1, 0], False)]
+    assert group.order == 12 * s * s
+
+
+def standard_candidates(ctx, gens):
+    """The base points chains drew from before the root span: isotropic
+    points of a single nondegenerate form on F_q^4, then e1..e4 as vectors,
+    which serve alone where there is no such form."""
+    basis = [(e, False) for e in identity()]
+    form = _invariant_form(ctx, gens) if ctx.q % 2 else None
+    if form is None:
+        return basis
+    l1, l2 = _isotropic_pair(ctx, form)
+    return [(l1, True), (l2, True), (l1, False), *basis]
+
+
+@pytest.mark.parametrize("q", [9, 11, 19, 29, 49, 59, 61, 169])
+def test_root_span_base_keeps_orders(q, monkeypatch):
+    # an order does not depend on the base: G0 and G2 on the root-span base
+    # have the orders, and give the membership answers, of the same chains
+    # on the standard candidates. No chain that verify builds has a larger
+    # orbit; the small G0 of k = 3, 4, 5 (A3, B3, H3), which it enumerates,
+    # can, as its conic of isotropic lines outgrows its vector orbits
+    rng = np.random.default_rng(q)
+    built = {}
+    for k, omit in itertools.product((3, 4, 5, 6), "02"):
+        ctx, gens = gens_of(k, *PRIMES[q])
+        built[k, omit] = bsgs_group(ctx, gens[kept(omit)])
+    monkeypatch.setattr(matgroup, "_base_candidates", standard_candidates)
+    for (k, omit), group in built.items():
+        ctx, gens = gens_of(k, *PRIMES[q])
+        oracle = bsgs_group(ctx, gens[kept(omit)])
+        assert group.order == oracle.order
+        params = StarParams(k, classify_prime(GoldenInt(*PRIMES[q])))
+        if subgroup_backend(params, omit, matgroup.DEFAULT_CAP)[0]:
+            assert max(len(lvl.keys) for lvl in group._chain) <= max(
+                len(lvl.keys) for lvl in oracle._chain)
+        words = gens[rng.integers(0, 4, size=(40, 6))]
+        queries = words[:, 0]
+        for i in range(1, 6):
+            queries = mat_mul(ctx, queries, words[:, i])
+        queries = np.concatenate([queries, random_mats(ctx, 8)])
+        assert np.array_equal(group.contains_batch(queries), oracle.contains_batch(queries))
 
 
 @pytest.mark.parametrize("k,prime", [(3, (7, 0)), (4, (7, 0)), (5, (7, 0)), (6, (7, 0)), (3, (-13, -3))])
@@ -724,14 +806,16 @@ def tree_digest(chain):
      (3, 29, "", "d45de82ddf9b181df67e0831c517d4f035b419a2247a7d64285a7f093a3877f2"),
      (3, 61, "", "621019c2151ed84194e9577610f99683ec3cdfb5d3fc8a3168b167c962cb5329"),
      (3, 169, "", "b288abbbbff505a08e998e9ef2a0e32c5ff2c2fa26d55461711ea91767099765"),
-     (6, 59, "0", "f5d33af81f3a262e862a22a54a7c553d642f32c28aa913dc4026043c318e61e8"),
-     (6, 59, "2", "4d95a4e7b29ba321578550c6df5b3577fc32af348bb2f88e5443b7a7bde269b9")],
+     (6, 59, "0", "450a32284bf38bb18dcf4bceb6387d06308fff635565135e8e4aa1eafda59c5e"),
+     (6, 59, "2", "800f6646e1e237826538466a44bc74819110dbf9900f5fdde4803dfcd7224d50")],
     ids=["k3-q19", "k6-q19", "k3-q29", "k3-q61", "k3-q169", "G0-k6-q59", "G2-k6-q59"],
 )
 def test_schreier_trees_are_pinned(k, q, omit, digest):
     # every level's base point, orbit keys, transversal, Schreier tree
-    # (parent and edge) and generators, as built when breadth-first layers
-    # and cyclic doubling each kept a tree record of their own
+    # (parent and edge) and generators. The five full-group digests were
+    # taken when breadth-first layers and cyclic doubling each kept a tree
+    # record of their own; the G0 and G2 digests are of their chains on the
+    # root-span base
     ctx, gens = gens_of(k, *PRIMES[q])
     assert tree_digest(bsgs_group(ctx, gens[kept(omit)])._chain) == digest
 
