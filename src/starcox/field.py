@@ -37,6 +37,8 @@ class FieldCtx:
         return self.add(z.a % self.char, self.mul(z.b % self.char, self.tau_code))
 
     def add(self, u: int, v: int) -> int:
+        if self.degree == 1:
+            return (u + v) % self.q
         r = self.char
         return (u % r + v % r) % r + (u // r + v // r) % r * r
 
@@ -44,6 +46,8 @@ class FieldCtx:
         return self.sub(0, u)
 
     def sub(self, u: int, v: int) -> int:
+        if self.degree == 1:
+            return (u - v) % self.q
         r = self.char
         return (u % r - v % r) % r + (u // r - v // r) % r * r
 

@@ -21,11 +21,13 @@ vector scaled so that its first nonzero entry is one, and stores its orbit
 as the sorted keys of its points, with the transversal as stacked arrays in
 the same order. One method (``_Level.image_keys``) applies that action to
 the base point, for the sift, the Schreier generators and the joining rule
-alike. One orbit loop builds every level, with two step rules:
-breadth-first layers over several generators, and cyclic doubling of the
-cycle that one generator makes; either way the transversal is a Schreier
-tree, and each step records the parent and edge generator of each point it
-finds, in the one order the points were found. One batched sift serves
+alike. One orbit loop builds every level, and extends a level's orbit in
+place when strong generators join it, with two step rules: breadth-first
+layers, the first by the new generators from every point held, and cyclic
+doubling of the cycle that one generator makes; either way the transversal
+is a Schreier tree, and each step records the parent and edge generator of
+each point it finds, in the one order the points were found, while the
+points held keep theirs. One batched sift serves
 membership and the Schreier generators alike, and one rule
 (``_add_generator``) decides which levels a new strong generator joins:
 every level from where it enters up to the first base point it moves. The
@@ -35,10 +37,11 @@ a single nondegenerate one on F_q^4. Where there is not, the base is drawn
 from the root span W, the sum of the images of g - I, which the generators
 map to itself: isotropic lines of a single nondegenerate form on W, when W
 has dimension 3, and W's basis vectors otherwise. Schreier-Sims is
-incremental: a level's Schreier generators are formed once per orbit build,
-without the pairs that give the identity by construction (tree edges and
-their reverses), and a revisit sifts only those after the one whose residue
-was last added. A sift passes a level of one point by its key test alone.
+incremental: a level forms the Schreier generator of each pair of a
+generator and an orbit point once, when the pair is new, without the pairs
+that give the identity by construction (tree edges and their reverses), and
+a revisit sifts only those after the one whose residue was last added. A
+sift passes a level of one point by its key test alone.
 An intersection lists the side of smaller order, from either backend, BATCH
 elements at a time (slices of an enumerated group's keys, or products of a
 chain's transversals), and keeps those the other side contains; a listed
@@ -498,16 +501,21 @@ class _Level:
     ``gens[edge[i]] @ t[parent[i]]``, in key order, except at the base
     point, whose parent and edge are -1. ``keys``, ``t``, ``t_inv``,
     ``parent`` and ``edge`` are set by ``_build_orbit``, which records the
-    tree the same way under both of its step rules; ``gens`` grow only
-    through ``_add_generator``."""
+    tree the same way under both of its step rules, and ``built`` is how
+    many of ``gens`` the orbit is closed under, 0 before the first build.
+    ``gens`` grow only through ``_add_generator``; the next build extends
+    the orbit by those past ``built``, and a point once in the orbit keeps
+    its ``t``, ``t_inv``, ``parent`` and ``edge`` (though not its index)."""
 
-    __slots__ = ("point", "line", "gens", "gen_invs", "keys", "t", "t_inv", "parent", "edge")
+    __slots__ = ("point", "line", "gens", "gen_invs", "built", "keys", "t", "t_inv", "parent",
+                 "edge")
 
     def __init__(self, point: np.ndarray, line: bool):
         self.point = point
         self.line = line
         self.gens: list[np.ndarray] = []
         self.gen_invs: list[np.ndarray] = []
+        self.built = 0
 
     def image_keys(self, ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:
         """Keys of the images of the base point under a stack of matrices."""
@@ -551,44 +559,57 @@ def _base_candidates(ctx: FieldCtx, gens: np.ndarray) -> list[tuple[np.ndarray, 
     return [(l1, True), (l2, True), (l1, False), *basis]
 
 
-def _build_orbit(ctx: FieldCtx, lvl: _Level, cap: int) -> None:
-    """Orbit of the base point p with its transversal, raising OverCapError
-    past cap points. Each step maps source points by step elements and
-    keeps the images not seen before; the transversal of a new point is the
-    step element times that of its source, and its inverse is the source's
-    inverse times the step element's.
+def _build_orbit(ctx: FieldCtx, lvl: _Level, cap: int) -> np.ndarray:
+    """Extend the orbit the level holds, with its transversal, by the
+    generators added since its last build, raising OverCapError past cap
+    points; a level never built holds the orbit {p} of its base point p.
+    Return, in key order, how many generators each point has been paired
+    with: the old count for a point held before, zero for a new one (see
+    ``_schreier_generators``). Each step maps source points by step elements
+    and keeps the images not seen before; the transversal of a new point is
+    the step element times that of its source, and its inverse is the
+    source's inverse times the step element's. The held points are read
+    from their keys, which decode as vectors.
 
-    With several generators the step elements are the generators and the
-    sources the points the last step found: breadth-first search, one layer
-    for all generators at once. With one generator g the orbit is a cycle,
-    built by cyclic doubling: the sources are all n points g^i p found so
-    far and the one step element is g^n, squared after each step, so t and
-    t_inv are g^i and (g^-1)^i, as breadth-first search assigns them. The
-    first image seen before is p itself (were g^L p = g^j p with 0 < j < L,
-    then g^(L-j) p = p would have come round first), so the fresh images of
-    a step are a prefix of its images, and the cycle is closed at the first
-    step that meets one.
+    Breadth-first, the first step maps every held point by the new
+    generators, and each later step maps the points the last step found by
+    all the generators: the held orbit is closed under the old ones, so
+    every point is then mapped by every generator (Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, 2005, 4.4). A first build with
+    one generator g makes a cycle, built by cyclic doubling: the sources are
+    all n points g^i p found so far and the one step element is g^n, squared
+    after each step, so t and t_inv are g^i and (g^-1)^i, as breadth-first
+    search assigns them. The first image seen before is p itself (were
+    g^L p = g^j p with 0 < j < L, then g^(L-j) p = p would have come round
+    first), so the fresh images of a step are a prefix of its images, and
+    the cycle is closed at the first step that meets one.
 
     The transversal is a Schreier tree (Seress, *Permutation Group
     Algorithms*, CUP 2003, 4.1): t of each point but p is g t of its
-    parent, g the generator on its edge. Each step records, for each new
-    point in the order found, its parent's index in that order and the
-    generator on its edge. Breadth-first, the parent is the source and the
-    edge the step element. By cyclic doubling a step takes its new points in
-    the order first reached, g^n p, g^(n+1) p, ..., so the points are found
-    in power order and the parent of each is the point found before it, by
-    the one generator.
+    parent, g the generator on its edge. A held point keeps its t, t_inv,
+    parent and edge. Each step records, for each new point in the order
+    found, its parent's index in that order and the generator on its edge.
+    Breadth-first, the parent is the source and the edge the step element.
+    By cyclic doubling a step takes its new points in the order first
+    reached, g^n p, g^(n+1) p, ..., so the points are found in power order
+    and the parent of each is the point found before it, by the one
+    generator.
 
-    Rows are appended in the order found, in the compact dtype, and only
-    the keys are kept sorted; one argsort at the end puts the rows in key
-    order, widened to int64."""
+    New rows are appended in the order found, in the compact dtype, after
+    the held ones, and only the keys are kept sorted; one argsort at the end
+    puts the rows in key order, widened to int64."""
     compact = _compact_dtype(ctx)
-    steps, step_invs = np.stack(lvl.gens), np.stack(lvl.gen_invs)
-    vecs = lvl.point[None]
-    keys = _point_keys(ctx, lvl.line, vecs)
-    t = t_inv = identity()[None]
-    found, ts, t_invs = [keys], [t.astype(compact)], [t_inv.astype(compact)]
-    parents, edges = [np.zeros(1, dtype=np.int64)], [np.full(1, -1)]
+    gens, invs = np.stack(lvl.gens), np.stack(lvl.gen_invs)
+    old = lvl.built
+    if not old:
+        lvl.keys = lvl.image_keys(ctx, identity()[None])
+        lvl.t = lvl.t_inv = identity()[None]
+        lvl.parent = lvl.edge = np.full(1, -1)
+    cyclic = not old and len(gens) == 1
+    keys, t, t_inv = lvl.keys, lvl.t, lvl.t_inv
+    vecs = keys.view(compact).reshape(-1, 4).astype(np.int64)
+    steps, step_invs = gens[old:], invs[old:]
+    found, ts, t_invs, parents, edges = [keys], [t], [t_inv], [lvl.parent], [lvl.edge]
     while len(vecs):
         imgs = mat_vec(ctx, steps[:, None], vecs[None]).reshape(-1, 4)
         cand, first = np.unique(_point_keys(ctx, lvl.line, imgs), return_index=True)
@@ -597,7 +618,7 @@ def _build_orbit(ctx: FieldCtx, lvl: _Level, cap: int) -> None:
         if len(keys) + len(cand) > cap:
             raise OverCapError(f"orbit exceeds cap {cap}")
         keys = np.insert(keys, np.searchsorted(keys, cand), cand)
-        if len(steps) == 1:  # the insert takes key order; the tree takes power order
+        if cyclic:  # the insert takes key order; the tree takes power order
             by_first = np.argsort(first)
             cand, first = cand[by_first], first[by_first]
         s, f = np.divmod(first, len(vecs))  # step element and source of each new point
@@ -608,11 +629,12 @@ def _build_orbit(ctx: FieldCtx, lvl: _Level, cap: int) -> None:
         # each new point's parent, as an index in found order: breadth-first
         # its source, one of the last len(vecs) points found; by cyclic
         # doubling the point found before it, g^(n+f-1) p before g^(n+f) p
-        back = len(vecs) if len(steps) > 1 else 1
+        back = 1 if cyclic else len(vecs)
         parents.append(len(keys) - len(cand) - back + f)
-        edges.append(s)
-        if len(steps) > 1:
+        edges.append(s + len(gens) - len(steps))  # the first step's are the new generators
+        if not cyclic:
             vecs, t, t_inv = new
+            steps, step_invs = gens, invs
             continue
         if len(cand) < len(vecs):  # p has come round
             break
@@ -626,6 +648,8 @@ def _build_orbit(ctx: FieldCtx, lvl: _Level, cap: int) -> None:
     lvl.t_inv = np.concatenate(t_invs)[order].astype(np.int64)
     lvl.edge = np.concatenate(edges)[order]
     lvl.parent = np.where(lvl.edge >= 0, rank[np.concatenate(parents)[order]], -1)
+    lvl.built = len(gens)
+    return np.where(order < len(found[0]), old, 0)
 
 
 def _sift(ctx: FieldCtx, chain: list[_Level], start: int, mats: np.ndarray) -> np.ndarray:
@@ -647,17 +671,20 @@ def _sift(ctx: FieldCtx, chain: list[_Level], start: int, mats: np.ndarray) -> n
     return res
 
 
-def _schreier_generators(ctx: FieldCtx, lvl: _Level) -> np.ndarray:
+def _schreier_generators(ctx: FieldCtx, lvl: _Level, paired: np.ndarray | int = 0) -> np.ndarray:
     """The sorted keys of the distinct Schreier generators t(g x)^-1 g t(x)
-    of a level, over its generators g and orbit points x, save two kinds of
-    pair that give the identity by construction, since the identity sifts to
-    the identity (Seress, *Permutation Group Algorithms*, CUP 2003, 4.1): a
-    tree edge (g, parent of y), where t(y) = g t(parent), and (g, y) where g
-    is the inverse of the generator on y's edge, which maps y to its parent."""
+    of a level, over the pairs of a generator g and an orbit point x not
+    formed before: x has been paired with the generators before paired[x],
+    as ``_build_orbit`` returns it, and with none by default. Two kinds of
+    pair are skipped, which give the identity by construction, since the
+    identity sifts to the identity (Seress, *Permutation Group Algorithms*,
+    CUP 2003, 4.1): a tree edge (g, parent of y), where t(y) = g t(parent),
+    and (g, y) where g is the inverse of the generator on y's edge, which
+    maps y to its parent."""
     child = lvl.edge >= 0
     keys = [_keys(ctx, identity()[:0])]
     for j, g in enumerate(lvl.gens):
-        skip = np.zeros(len(lvl.t), dtype=bool)
+        skip = np.zeros(len(lvl.t), dtype=bool) | (paired > j)  # formed before
         skip[lvl.parent[lvl.edge == j]] = True
         undo = [s for s, inv in enumerate(lvl.gen_invs) if np.array_equal(g, inv)]
         skip[child & np.isin(lvl.edge, undo)] = True
@@ -713,30 +740,39 @@ def bsgs_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
     itself: on two isotropic lines of W and the first as a vector, the same
     way, when W has dimension 3 and a single nondegenerate form (the orbit
     on them is a conic of q + 1 lines, against about q^2 points for the
-    orbit of a standard basis vector), and on W's basis vectors otherwise. The standard basis vectors always follow. One rule places
-    every strong generator, input or residue (``_add_generator``): it joins
-    each level from where it enters up to the first base point it moves, and
-    one that fixes every base point appends the next candidates, up to the
-    first one that it moves, so the base is always a prefix of the sequence
-    (and a level can keep an orbit of one point). Orbits are built by one loop
-    (``_build_orbit``): breadth-first, or by cyclic doubling on a level with
-    one generator. An orbit of more than cap points raises OverCapError. The
-    base only decides which Schreier generators are sifted, so the order is
-    exact whatever the base.
+    orbit of a standard basis vector), and on W's basis vectors otherwise.
+    The standard basis vectors always follow. One rule places every strong
+    generator, input or residue (``_add_generator``): it joins each level
+    from where it enters up to the first base point it moves, and one that
+    fixes every base point appends the next candidates, up to the first one
+    that it moves, so the base is always a prefix of the sequence (and a
+    level can keep an orbit of one point). Orbits are built and
+    extended by one loop (``_build_orbit``): breadth-first, or by cyclic
+    doubling on a level first built with one generator. An orbit of more
+    than cap points raises OverCapError. The base only decides which
+    Schreier generators are sifted, so the order is exact whatever the base.
 
-    Levels are completed from the last one up. A level's Schreier generators
-    are formed once per orbit build, deduplicated and sifted through the
-    levels below it in key order; the first one whose residue is not the
-    identity joins the chain from the level below on, and the levels it
-    joined are built again. Residues depend only on the chain, so this is a
-    deterministic choice. Until its own generators change, a level keeps as
-    its record the keys of the Schreier generators after the one whose
-    residue was added, and a revisit sifts only those. That picks the same
-    residue as sifting them all again: every earlier generator sifted to the
-    identity through a chain that has only grown since, so it is still a
-    member of the group below and still sifts to the identity, and so does
-    the one whose residue was added. Every Schreier generator is sifted, so
-    the order is exact.
+    Levels are completed from the last one up. A level's new Schreier
+    generators are formed, deduplicated and sifted through the levels below
+    it in key order; the first one whose residue is not the identity joins
+    the chain from the level below on, and the levels it joined extend
+    their orbits by it in place (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005, 4.4; Seress, *Permutation Group
+    Algorithms*, CUP 2003, 4.2). Residues depend only on the chain, so this
+    is a deterministic choice. Until its own generators change, a level
+    keeps as its record the keys of the Schreier generators after the one
+    whose residue was added, and a revisit sifts only those. That picks the
+    same residue as sifting them all again: every earlier generator sifted
+    to the identity through a chain that has only grown since, so it is
+    still a member of the group below and still sifts to the identity, and
+    so does the one whose residue was added. A residue joins only levels
+    below the one it came from, and those are complete, every Schreier
+    generator they formed having sifted to the identity; their old points
+    keep their transversals, so those generators still sift to the
+    identity, by the same path. So an extended level forms and sifts only
+    the Schreier generators of its new pairs: a new generator with any
+    point, and any generator with a new point. Every Schreier generator is
+    sifted, so the order is exact.
     """
     gens = [g for g in _dedup(ctx, np.asarray(gens, dtype=np.int64).reshape(-1, 4, 4))
             if not is_identity(g)]
@@ -747,13 +783,13 @@ def bsgs_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
 
     ident = identity()
     # unsifted[l]: the sorted keys of level l's Schreier generators that are
-    # still to be sifted; a level whose generators changed has no record
+    # still to be sifted, those of the pairs its last build made new
     unsifted: dict[int, np.ndarray] = {}
     i = len(chain) - 1
     while i >= 0:
-        if i not in unsifted:
-            _build_orbit(ctx, chain[i], cap)
-            unsifted[i] = _schreier_generators(ctx, chain[i])
+        lvl = chain[i]
+        if lvl.built < len(lvl.gens):
+            unsifted[i] = _schreier_generators(ctx, lvl, _build_orbit(ctx, lvl, cap))
         res = _sift(ctx, chain, i + 1, _decode(ctx, unsifted[i]))
         moved = np.flatnonzero((res != ident).any(axis=(1, 2)))
         if not len(moved):
@@ -761,8 +797,5 @@ def bsgs_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
             continue
         first = int(moved[0])
         unsifted[i] = unsifted[i][first + 1 :]
-        j = _add_generator(ctx, chain, res[first], i + 1, candidates)
-        for l in range(i + 1, j + 1):
-            unsifted.pop(l, None)
-        i = j
+        i = _add_generator(ctx, chain, res[first], i + 1, candidates)
     return GroupHandle(ctx, np.stack(gens) if gens else ident[None], cap, chain=chain)

@@ -222,3 +222,30 @@ def test_field_ops_match_pair_arithmetic(p):
     for a in range(r):
         for b in range(r):
             assert ctx.add(a, b) < r and ctx.mul(a, b) < r
+
+
+def digit_add(ctx, u, v, sign):
+    """add (sign 1) or sub (sign -1) digit by digit, the prime-field digit
+    low, as degree 2 computes them; at degree 1 the high digit is zero."""
+    r = ctx.char
+    return (u % r + sign * (v % r)) % r + (u // r + sign * (v // r)) % r * r
+
+
+@pytest.mark.parametrize("prime,q", [((-1, 2), 5), ((-7, -3), 61), ((3, 0), 9), ((7, 0), 49)])
+def test_add_and_sub_match_tables(prime, q):
+    # at degree 1 a code is its residue, so the sum and difference tables
+    # are those of Z/q; at degree 2 the digit-wise formula is the oracle.
+    # Python ints and numpy arrays, as row reduction passes, agree
+    ctx = ctx_of(*prime)
+    assert ctx.q == q
+    codes = np.arange(q)
+    u, v = codes[:, None], codes[None]
+    if ctx.degree == 1:
+        want_add, want_sub = (u + v) % q, (u - v) % q
+    else:
+        want_add, want_sub = digit_add(ctx, u, v, 1), digit_add(ctx, u, v, -1)
+    assert np.array_equal(ctx.add(u, v), want_add)
+    assert np.array_equal(ctx.sub(u, v), want_sub)
+    for a, b in ((0, 0), (q - 1, 1), (1, q - 1), (q // 2, q - 2)):
+        assert ctx.add(a, b) == int(want_add[a, b])
+        assert ctx.sub(a, b) == int(want_sub[a, b])

@@ -435,7 +435,10 @@ def test_uint16_keys_index_and_membership():
 
 # the chain's base opens with l1 as a line, l2 as a line and l1 as a vector,
 # then e1..e4 as vectors; the orbit sizes multiply to the group order, pinned
-# as the product of the orbits of the chain on standard basis vectors alone
+# as the product of the orbits of the chain on standard basis vectors alone.
+# The strong generators follow from the Schreier generators sifted: at
+# k3-q29 level 2 has 5, where ``rebuild_bsgs``, which builds each level a
+# residue joins again, gives it 6
 @pytest.mark.parametrize(
     "k,prime,l1,l2,orbits,strong,order",
     [
@@ -444,7 +447,7 @@ def test_uint16_keys_index_and_membership():
         (6, (-1, 4), [1, 6, 2, 0], [1, 17, 12, 0],
          [400, 361, 18, 1, 18, 1, 2], [4, 4, 4, 3, 3, 1, 1], 6840 * 380 * 36),
         (3, (-5, -1), [1, 14, 25, 0], [1, 12, 25, 0],
-         [900, 841, 28, 14, 1, 1, 2], [4, 5, 6, 3, 1, 1, 1], 24360 * 812 * 15 * 2),
+         [900, 841, 28, 14, 1, 1, 2], [4, 5, 5, 3, 1, 1, 1], 24360 * 812 * 15 * 2),
     ],
     ids=["k3-q19", "k6-q19", "k3-q29"],
 )
@@ -528,23 +531,26 @@ def chain_digest(group):
 
 def test_chain_through_cyclic_doubling_is_pinned(monkeypatch):
     # k = 3 at -12-5t (q = 179): one orbit build meets a level with a single
-    # generator and makes a cycle of 15,931 points. The digest of every
-    # level's point, orbit keys, transversal and generators was taken with
-    # one-point BFS layers
+    # generator and makes a cycle of 15,931 points, which a second generator
+    # later extends to 32,041. The digest of every level's point, orbit
+    # keys, transversal and generators was taken with levels extended in
+    # place
     ctx, gens = gens_of(3, -12, -5)
     cycles = []
     inner = matgroup._build_orbit
 
     def counted(ctx, lvl, cap):
-        inner(ctx, lvl, cap)
+        paired = inner(ctx, lvl, cap)
         if len(lvl.gens) == 1:
             cycles.append(len(lvl.keys))
+        return paired
 
     monkeypatch.setattr(matgroup, "_build_orbit", counted)
     group = bsgs_group(ctx, gens)
     assert max(cycles) == 15_931
+    assert [len(lvl.keys) for lvl in group._chain][:2] == [32_400, 32_041]
     assert group.order == 32_892_060_225_600
-    assert chain_digest(group) == "144c06cb7812ac7705a7ff5aa0d3163c192c6db6264e4572868d66cc921f499c"
+    assert chain_digest(group) == "459c12ecdd9bc272100e84f647c5b85243c5d436dcf5324e2be7bcd404ce1f64"
 
 
 def test_bsgs_respects_cap():
@@ -799,25 +805,289 @@ def tree_digest(chain):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize(
-    "k,q,omit,digest",
-    [(3, 19, "", "ce83ecdb670ef8006572afc6d9c454a56d53d305dbbd4a46917714bcdd25e453"),
-     (6, 19, "", "255066a85a94fff8e4f213e161d82f4edb2338a1178a9519c5eec715ac79a356"),
-     (3, 29, "", "d45de82ddf9b181df67e0831c517d4f035b419a2247a7d64285a7f093a3877f2"),
-     (3, 61, "", "621019c2151ed84194e9577610f99683ec3cdfb5d3fc8a3168b167c962cb5329"),
-     (3, 169, "", "b288abbbbff505a08e998e9ef2a0e32c5ff2c2fa26d55461711ea91767099765"),
-     (6, 59, "0", "450a32284bf38bb18dcf4bceb6387d06308fff635565135e8e4aa1eafda59c5e"),
-     (6, 59, "2", "800f6646e1e237826538466a44bc74819110dbf9900f5fdde4803dfcd7224d50")],
-    ids=["k3-q19", "k6-q19", "k3-q29", "k3-q61", "k3-q169", "G0-k6-q59", "G2-k6-q59"],
-)
-def test_schreier_trees_are_pinned(k, q, omit, digest):
-    # every level's base point, orbit keys, transversal, Schreier tree
-    # (parent and edge) and generators. The five full-group digests were
-    # taken when breadth-first layers and cyclic doubling each kept a tree
-    # record of their own; the G0 and G2 digests are of their chains on the
-    # root-span base
+# every level's base point, orbit keys, transversal, Schreier tree (parent
+# and edge) and generators, with levels extended in place; REBUILT_TREES
+# are those of the same chains when each level that a residue joined was
+# built again, which ``rebuild_bsgs`` still gives. G0's one extension
+# grows a cycle of two points to 118, to the tree a rebuild makes
+EXTENDED_TREES = {
+    "k3-q19": "9f557be227f2d44d5a43731d184142bc4dac764b748ca874031f768f6da54efb",
+    "k6-q19": "0e21d278b697696a0eba1c9ca610a67011489ae0cd54457656c160a9471ad3be",
+    "k3-q29": "78bbd4e9c34cf2f1688c6473aafa3c1a09ef173b190dcf6e0e57c981b7691f5d",
+    "k3-q61": "c4646cc7631c50e6e6ee3d14694aa1f72be08a30dcebeb5e1980e47a3c20091c",
+    "k3-q169": "0d1d3da140392e3394488352901d03bfd0492759e7375d0f3df22f49671e6928",
+    "G0-k6-q59": "450a32284bf38bb18dcf4bceb6387d06308fff635565135e8e4aa1eafda59c5e",
+    "G2-k6-q59": "16de39d65c9ba35d4a5061f7b6d4974e1c341076e0e4e7aa716740bc97dd9f78",
+}
+REBUILT_TREES = {
+    "k3-q19": "ce83ecdb670ef8006572afc6d9c454a56d53d305dbbd4a46917714bcdd25e453",
+    "k6-q19": "255066a85a94fff8e4f213e161d82f4edb2338a1178a9519c5eec715ac79a356",
+    "k3-q29": "d45de82ddf9b181df67e0831c517d4f035b419a2247a7d64285a7f093a3877f2",
+    "k3-q61": "621019c2151ed84194e9577610f99683ec3cdfb5d3fc8a3168b167c962cb5329",
+    "k3-q169": "b288abbbbff505a08e998e9ef2a0e32c5ff2c2fa26d55461711ea91767099765",
+    "G0-k6-q59": "450a32284bf38bb18dcf4bceb6387d06308fff635565135e8e4aa1eafda59c5e",
+    "G2-k6-q59": "800f6646e1e237826538466a44bc74819110dbf9900f5fdde4803dfcd7224d50",
+}
+TREE_CHAINS = {"k3-q19": (3, 19, ""), "k6-q19": (6, 19, ""), "k3-q29": (3, 29, ""),
+               "k3-q61": (3, 61, ""), "k3-q169": (3, 169, ""), "G0-k6-q59": (6, 59, "0"),
+               "G2-k6-q59": (6, 59, "2")}
+
+
+@pytest.mark.parametrize("name", TREE_CHAINS)
+def test_schreier_trees_are_pinned(name):
+    k, q, omit = TREE_CHAINS[name]
     ctx, gens = gens_of(k, *PRIMES[q])
-    assert tree_digest(bsgs_group(ctx, gens[kept(omit)])._chain) == digest
+    assert tree_digest(bsgs_group(ctx, gens[kept(omit)])._chain) == EXTENDED_TREES[name]
+
+
+def rebuild_bsgs(ctx, gens, cap=matgroup.DEFAULT_CAP):
+    """``bsgs_group`` as it was before levels were extended in place: a
+    level that a residue joins drops its unsifted record, builds its orbit
+    again from the base point and forms every Schreier generator anew. A
+    level with ``built`` = 0 is built from the one-point orbit."""
+    gens = [g for g in _dedup(ctx, np.asarray(gens, dtype=np.int64).reshape(-1, 4, 4))
+            if not is_identity(g)]
+    candidates = matgroup._base_candidates(ctx, np.stack(gens))
+    chain = []
+    for g in gens:
+        matgroup._add_generator(ctx, chain, g, 0, candidates)
+    unsifted = {}
+    i = len(chain) - 1
+    while i >= 0:
+        if i not in unsifted:
+            chain[i].built = 0
+            matgroup._build_orbit(ctx, chain[i], cap)
+            unsifted[i] = matgroup._schreier_generators(ctx, chain[i])
+        res = _sift(ctx, chain, i + 1, _decode(ctx, unsifted[i]))
+        moved = np.flatnonzero((res != identity()).any(axis=(1, 2)))
+        if not len(moved):
+            i -= 1
+            continue
+        first = int(moved[0])
+        unsifted[i] = unsifted[i][first + 1 :]
+        j = matgroup._add_generator(ctx, chain, res[first], i + 1, candidates)
+        for l in range(i + 1, j + 1):
+            unsifted.pop(l, None)
+        i = j
+    return matgroup.GroupHandle(ctx, np.stack(gens), cap, chain=chain)
+
+
+@pytest.mark.parametrize("name", ["k3-q19", "k3-q29", "G0-k6-q59", "G2-k6-q59"])
+def test_rebuild_oracle_gives_the_rebuilt_trees(name):
+    k, q, omit = TREE_CHAINS[name]
+    ctx, gens = gens_of(k, *PRIMES[q])
+    assert tree_digest(rebuild_bsgs(ctx, gens[kept(omit)])._chain) == REBUILT_TREES[name]
+
+
+# full groups at k = 3..6 and the subgroups G0 and G2 at k = 6, q = 59; at
+# q = 169 the cap boundary is checked for k = 4 and 5 alone, to bound the time
+EXTEND_CASES = [(k, q, "") for q in (9, 19, 29, 49, 61, 169) for k in (3, 4, 5, 6)]
+EXTEND_CASES += [(6, 59, "0"), (6, 59, "2")]
+
+
+@pytest.mark.parametrize("k,q,omit", EXTEND_CASES,
+                         ids=[f"{'G' + o if o else 'k'}{k}-q{q}" for k, q, o in EXTEND_CASES])
+def test_extended_chain_matches_rebuild_oracle(k, q, omit):
+    # extending a level in place changes which strong generators a chain
+    # keeps, never its base, its orbits, its order, its membership answers
+    # or the cap at which it stops: a chain is held to the cap by its
+    # largest orbit, and the orbits grow only with the generators
+    ctx, gens = gens_of(k, *PRIMES[q])
+    gens = gens[kept(omit)]
+    oracle = rebuild_bsgs(ctx, gens)
+    largest = max(len(lvl.keys) for lvl in oracle._chain)
+    group = bsgs_group(ctx, gens, cap=largest)
+    assert group.order == oracle.order
+    assert [(lvl.point.tolist(), lvl.line) for lvl in group._chain] == [
+        (lvl.point.tolist(), lvl.line) for lvl in oracle._chain]
+    for got, want in zip(group._chain, oracle._chain):
+        assert np.array_equal(got.keys, want.keys)
+    rng = np.random.default_rng(1000 * k + q)
+    words = gens[rng.integers(0, len(gens), size=(60, 8))]
+    queries = words[:, 0]
+    for i in range(1, 8):
+        queries = mat_mul(ctx, queries, words[:, i])
+    queries = np.concatenate([queries, random_mats(ctx, 20)])
+    answers = group.contains_batch(queries)
+    assert answers[:60].all()
+    assert np.array_equal(answers, oracle.contains_batch(queries))
+    if q < 169 or k in (4, 5):
+        for build in (bsgs_group, rebuild_bsgs):
+            with pytest.raises(OverCapError):
+                build(ctx, gens, cap=largest - 1)
+
+
+def record_extensions(monkeypatch):
+    """Check every orbit build of the bsgs_group calls that follow: each
+    keeps the points, transversal and tree it held, and leaves a Schreier
+    tree. Return a list of the levels extended, one entry per extension,
+    and a map from each level to the products g t(x) its Schreier
+    generators were formed from, as (g, keys of the points x); ``pair_ids``
+    reads them once the levels are final."""
+    formed, extended = {}, []
+    build, schreier, mul = matgroup._build_orbit, matgroup._schreier_generators, matgroup.mat_mul
+    current = []
+
+    def checked_build(ctx, lvl, cap):
+        held = None
+        if lvl.built:
+            held = [np.copy(a) for a in (lvl.keys, lvl.t, lvl.t_inv, lvl.parent, lvl.edge)]
+        paired = build(ctx, lvl, cap)
+        assert np.array_equal(np.sort(lvl.keys), lvl.keys)
+        assert np.array_equal(lvl.image_keys(ctx, lvl.t), lvl.keys)
+        assert (mat_mul(ctx, lvl.t_inv, lvl.t) == identity()).all()
+        assert_schreier_tree(ctx, lvl)
+        assert paired.shape == lvl.keys.shape
+        if held is not None:
+            extended.append(lvl)
+            keys, t, t_inv, parent, edge = held
+            pos = _find(lvl.keys, keys)
+            assert (pos >= 0).all()
+            assert np.array_equal(lvl.t[pos], t) and np.array_equal(lvl.t_inv[pos], t_inv)
+            assert np.array_equal(lvl.edge[pos], edge)
+            assert np.array_equal(lvl.parent[pos], np.where(parent >= 0, pos[parent], -1))
+        return paired
+
+    def tracked_schreier(ctx, lvl, *paired):
+        current.append(lvl)
+        try:
+            return schreier(ctx, lvl, *paired)
+        finally:
+            current.pop()
+
+    def recorded_mul(ctx, a, b):
+        if current and a.ndim == 2:  # g times the transversal of some points
+            formed.setdefault(current[-1], []).append((a, current[-1].image_keys(ctx, b)))
+        return mul(ctx, a, b)
+
+    monkeypatch.setattr(matgroup, "_build_orbit", checked_build)
+    monkeypatch.setattr(matgroup, "_schreier_generators", tracked_schreier)
+    monkeypatch.setattr(matgroup, "mat_mul", recorded_mul)
+    return extended, formed
+
+
+def pair_ids(ctx, lvl, formed):
+    n = len(lvl.keys)
+    ids = []
+    for g, point_keys in formed:
+        (j,) = [j for j, h in enumerate(lvl.gens) if np.array_equal(g, h)]
+        pos = _find(lvl.keys, point_keys)
+        assert (pos >= 0).all()
+        ids.append(j * n + pos)
+    return np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64)
+
+
+def identity_pair_ids(lvl):
+    """The pairs of the final tree that give the identity by construction:
+    (edge generator, parent) of each point but the base point, and (g, y)
+    with g the inverse of y's edge generator."""
+    n, child = len(lvl.keys), np.flatnonzero(lvl.edge >= 0)
+    ids = [lvl.edge[child] * n + lvl.parent[child]]
+    for j, g in enumerate(lvl.gens):
+        undo = [s for s, inv in enumerate(lvl.gen_invs) if np.array_equal(g, inv)]
+        ids.append(j * n + child[np.isin(lvl.edge[child], undo)])
+    return sorted_unique(np.concatenate(ids))
+
+
+@pytest.mark.parametrize("name", ["k3-q19", "k6-q19", "k3-q29", "k3-q61", "G0-k6-q59",
+                                  "G2-k6-q59"])
+def test_each_schreier_pair_is_formed_once(name, monkeypatch):
+    # over a whole run, every (generator, point) pair of a level's final
+    # orbit is formed exactly once or gives the identity by construction in
+    # the final tree, never both; every build keeps the tree it held
+    k, q, omit = TREE_CHAINS[name]
+    ctx, gens = gens_of(k, *PRIMES[q])
+    extended, formed = record_extensions(monkeypatch)
+    chain = bsgs_group(ctx, gens[kept(omit)])._chain
+    monkeypatch.undo()
+    assert extended
+    for lvl in chain:
+        ids = pair_ids(ctx, lvl, formed.get(lvl, []))
+        assert len(sorted_unique(ids)) == len(ids)
+        skipped = identity_pair_ids(lvl)
+        assert not np.isin(ids, skipped).any()
+        assert len(ids) + len(skipped) == len(lvl.gens) * len(lvl.keys)
+
+
+@pytest.mark.parametrize("name", ["k6-q19", "k3-q29", "k3-q61", "G2-k6-q59"])
+def test_a_level_is_extended_once_its_schreier_generators_are_spent(name, monkeypatch):
+    # a residue joins only levels below the one it left, and those are
+    # complete: every Schreier generator they formed has sifted to the
+    # identity through the levels below them. So when a level is extended,
+    # its earlier Schreier generators still do, by the same path (old points
+    # keep their transversal), and it sifts only those of its new pairs.
+    # Every Schreier generator is sifted through the levels below it after
+    # it is formed, also the rest of a level's record on a revisit
+    k, q, omit = TREE_CHAINS[name]
+    ctx, gens = gens_of(k, *PRIMES[q])
+    build, schreier, sift = matgroup._build_orbit, matgroup._schreier_generators, matgroup._sift
+    formed, pending, chains, extensions = {}, {}, [], []
+
+    def checked_build(ctx, lvl, cap):
+        if lvl.built:
+            chain = chains[0]
+            below = next(l for l, other in enumerate(chain) if other is lvl) + 1
+            earlier = _decode(ctx, np.concatenate(formed[lvl]))
+            assert (sift(ctx, chain, below, earlier) == identity()).all()
+            extensions.append(len(earlier))
+        return build(ctx, lvl, cap)
+
+    def recorded_schreier(ctx, lvl, *paired):
+        keys = schreier(ctx, lvl, *paired)
+        formed.setdefault(lvl, []).append(keys)
+        pending.setdefault(lvl, set()).update(keys.tolist())
+        return keys
+
+    def recorded_sift(ctx, chain, start, mats):
+        chains[:] = [chain]
+        if start:
+            pending[chain[start - 1]] -= set(_keys(ctx, mats).tolist())
+        return sift(ctx, chain, start, mats)
+
+    monkeypatch.setattr(matgroup, "_build_orbit", checked_build)
+    monkeypatch.setattr(matgroup, "_schreier_generators", recorded_schreier)
+    monkeypatch.setattr(matgroup, "_sift", recorded_sift)
+    bsgs_group(ctx, gens[kept(omit)])
+    assert extensions and sum(extensions) > 0
+    assert not any(pending.values())
+
+
+def test_cycle_is_extended_by_a_second_generator(monkeypatch):
+    # a level first built by cyclic doubling, then extended breadth-first:
+    # the Coxeter element r0 r1 r2 r3 makes cycles of 18 points on e1 and of
+    # 9 on the line of l1 at q = 19, and r1 joins them. The extended orbit
+    # matches a build of both generators from the base point, the returned
+    # pairing marks the held cycle, and every build keeps the tree it held
+    ctx, gens = gens_of(3, *PRIMES[19])
+    r0, r1, r2, r3 = gens
+    l1, _ = _isotropic_pair(ctx, _invariant_form(ctx, gens))
+    coxeter = mat_mul(ctx, mat_mul(ctx, r0, r1), mat_mul(ctx, r2, r3))
+    extended, _ = record_extensions(monkeypatch)
+    for point, line in ((identity()[0], False), (l1, True)):
+        lvl = matgroup._Level(point, line)
+        lvl.gens, lvl.gen_invs = [coxeter], [mat_inv(ctx, coxeter)]
+        assert not matgroup._build_orbit(ctx, lvl, cap=1000).any()
+        cycle = lvl.keys
+        assert len(cycle) == (9 if line else 18)
+        lvl.gens.append(r1)
+        lvl.gen_invs.append(r1)
+        paired = matgroup._build_orbit(ctx, lvl, cap=1000)
+        assert lvl.built == 2
+        assert np.array_equal(paired, np.where(_find(cycle, lvl.keys) >= 0, 1, 0))
+        fresh = matgroup._Level(point, line)
+        fresh.gens, fresh.gen_invs = list(lvl.gens), list(lvl.gen_invs)
+        assert not matgroup._build_orbit(ctx, fresh, cap=1000).any()
+        assert np.array_equal(lvl.keys, fresh.keys)
+        assert len(lvl.keys) > len(cycle)
+        # an extension is held to the cap by the whole orbit, and one that
+        # meets it changes nothing
+        lvl.gens.append(r0)
+        lvl.gen_invs.append(r0)
+        held = lvl.keys
+        with pytest.raises(OverCapError):
+            matgroup._build_orbit(ctx, lvl, cap=len(held) - 1)
+        assert lvl.built == 2 and lvl.keys is held
+    assert len(extended) == 2
 
 
 def reference_sift(ctx, chain, start, mats):
