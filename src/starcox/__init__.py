@@ -1,133 +1,25 @@
-"""Modular reductions of the rank-4 star Coxeter groups [5,3;k] over Z[tau]."""
+"""Modular reductions of the rank-4 star Coxeter groups [5,3;k] over Z[tau].
 
-from .builder import (
-    K_INF,
-    DetReport,
-    GoldenMat,
-    SmoothnessReport,
-    StarParams,
-    cartan,
-    det_identities,
-    generator_matrices,
-    gram,
-    reduced_generators,
-    rho,
-    root_norms,
-)
-from .cgroup import (
-    IntersectionReport,
-    lemma41_check,
-    replacement_generator,
-    verify_cgroup,
-)
-from .classify import (
-    Classification,
-    SingularFormError,
-    TorusCheck,
-    classify_rank3,
-    classify_rank4,
-    delta,
-    epsilon,
-    orthogonal_order,
-    table3_lookup,
-    torus_power_check,
-)
-from .field import FieldCtx, build_field
-from .matgroup import (
-    DEFAULT_CAP,
-    GroupHandle,
-    OverCapError,
-    SingularMatrixError,
-    bsgs_group,
-    element_order,
-    enumerate_group,
-    identity,
-    mat_inv,
-    mat_mul,
-    mat_vec,
-)
-from .polytope import (
-    IncidenceReport,
-    PolytopeStats,
-    face_counts,
-    incidence_report,
-)
-from .ring import (
-    CompositeError,
-    EvenPrimeError,
-    GoldenInt,
-    GoldenPrime,
-    ParseError,
-    PrimeClass,
-    UnitError,
-    canonical_associate,
-    classify_prime,
-    exact_div,
-    golden_legendre,
-    parse_golden,
-    primes_up_to_norm,
-    rational_legendre,
-)
+The package exports the entry points of a library session; every other name
+is imported from its module (``starcox.matgroup``, ``starcox.builder``, ...).
+"""
+
+from .builder import StarParams
+from .cgroup import verify_cgroup
+from .classify import classify_rank4
+from .polytope import face_counts, incidence_report
+from .ring import GoldenInt, classify_prime, parse_golden
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompositeError",
-    "Classification",
-    "DEFAULT_CAP",
-    "DetReport",
-    "EvenPrimeError",
-    "FieldCtx",
     "GoldenInt",
-    "GoldenMat",
-    "GoldenPrime",
-    "GroupHandle",
-    "IncidenceReport",
-    "IntersectionReport",
-    "K_INF",
-    "OverCapError",
-    "ParseError",
-    "PolytopeStats",
-    "PrimeClass",
-    "SingularFormError",
-    "SingularMatrixError",
-    "SmoothnessReport",
     "StarParams",
-    "TorusCheck",
-    "UnitError",
-    "bsgs_group",
-    "build_field",
-    "canonical_associate",
-    "cartan",
     "classify_prime",
-    "classify_rank3",
     "classify_rank4",
-    "delta",
-    "det_identities",
-    "element_order",
-    "enumerate_group",
-    "epsilon",
-    "exact_div",
     "face_counts",
-    "generator_matrices",
-    "golden_legendre",
-    "gram",
-    "identity",
     "incidence_report",
-    "lemma41_check",
-    "mat_inv",
-    "mat_mul",
-    "mat_vec",
-    "orthogonal_order",
     "parse_golden",
-    "primes_up_to_norm",
-    "rational_legendre",
-    "reduced_generators",
-    "replacement_generator",
-    "rho",
-    "root_norms",
-    "table3_lookup",
-    "torus_power_check",
     "verify_cgroup",
     "__version__",
 ]

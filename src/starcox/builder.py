@@ -131,12 +131,6 @@ def cartan(k) -> GoldenMat:
     )
 
 
-def root_norms(k, scale: int = 1) -> tuple[GoldenInt, GoldenInt, GoldenInt, GoldenInt]:
-    """Diagonal of the scaled Gram matrix: the norms of the four roots."""
-    g = gram(k, scale)
-    return tuple(g[i, i] for i in range(4))
-
-
 @dataclass(frozen=True)
 class DetReport:
     det_gram: GoldenInt
@@ -189,7 +183,7 @@ class StarParams:
             orders[(i, j)] = m
             if want is not None and m != want:
                 bad.append((i, j))
-        return ctx, gens, SmoothnessReport(orders, expected, tuple(bad))
+        return ctx, gens, SmoothnessReport(orders, tuple(bad))
 
 
 @dataclass(frozen=True)
@@ -197,7 +191,6 @@ class SmoothnessReport:
     """Pairwise product orders of the reduced generators vs Coxeter data."""
 
     product_orders: dict[tuple[int, int], int]
-    expected: dict[tuple[int, int], int | None]
     non_smooth_pairs: tuple[tuple[int, int], ...]
 
     @property

@@ -189,13 +189,14 @@ def cmd_polytope(args) -> int:
     return EXIT_OK
 
 
-def _survey_row(k: int, p, cap: int, fails: dict) -> dict:
+def _survey_row(k: int, p, cap: int) -> tuple[dict, dict[str, int]]:
+    """One survey row and its fail counts, each 0 or 1."""
     params = StarParams(k, p)
     c = classify_rank4(params)
+    disagree = False
     if p.klass is not PrimeClass.EVEN:
         t = table3_lookup(params)
-        if (t.family, t.label, t.predicted_order) != (c.family, c.label, c.predicted_order):
-            fails["pathDisagreements"] += 1
+        disagree = (t.family, t.label, t.predicted_order) != (c.family, c.label, c.predicted_order)
     ctx, gens, rep = reduced_generators(params)
     verified: int | str
     if c.predicted_order <= cap:
@@ -204,14 +205,8 @@ def _survey_row(k: int, p, cap: int, fails: dict) -> dict:
     else:
         n = bsgs_group(ctx, gens, cap=cap).order
         verified = "bsgs"
-    if n != c.predicted_order:
-        fails["orderMismatches"] += 1
-    if not verify_cgroup(params, cap=cap).is_cgroup:
-        fails["cgroupFailures"] += 1
-        cgroup = False
-    else:
-        cgroup = True
-    return {
+    cgroup = verify_cgroup(params, cap=cap).is_cgroup
+    row = {
         "k": k,
         "prime": str(p.value),
         "class": p.klass.value,
@@ -222,6 +217,12 @@ def _survey_row(k: int, p, cap: int, fails: dict) -> dict:
         "cgroup": cgroup,
         "smooth": rep.smooth,
     }
+    fails = {
+        "cgroupFailures": int(not cgroup),
+        "orderMismatches": int(n != c.predicted_order),
+        "pathDisagreements": int(disagree),
+    }
+    return row, fails
 
 
 def cmd_survey(args) -> int:
@@ -242,8 +243,11 @@ def cmd_survey(args) -> int:
             rows = 0
             for kk in ks:
                 for p in primes_up_to_norm(args.max_norm):
-                    emit(_survey_row(kk, p, cap, fails))
+                    row, row_fails = _survey_row(kk, p, cap)
+                    emit(row)
                     rows += 1
+                    for name, n in row_fails.items():
+                        fails[name] += n
             emit({"summary": {"rows": rows, **fails}})
     except OSError as e:
         # rows are pure computation, so an OSError comes from the output file
@@ -294,8 +298,9 @@ def main(argv=None) -> int:
     except (UnitError, CompositeError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except OverCapError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (OverCapError, MemoryError) as e:
+        # a MemoryError: the work the cap admits did not fit in memory
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_OVERCAP
     except OrderMismatchError as e:
         print(f"error: {e}", file=sys.stderr)

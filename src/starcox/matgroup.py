@@ -31,17 +31,16 @@ points held keep theirs. One batched sift serves
 membership and the Schreier generators alike, and one rule
 (``_add_generator``) decides which levels a new strong generator joins:
 every level from where it enters up to the first base point it moves. The
-chain's base opens with isotropic lines of the symmetric form that the
-generators preserve, derived from the generators themselves, where there is
-a single nondegenerate one on F_q^4. Where there is not, the base is drawn
-from the root span W, the sum of the images of g - I, which the generators
-map to itself: isotropic lines of a single nondegenerate form on W, when W
-has dimension 3, and W's basis vectors otherwise. Schreier-Sims is
-incremental: a level forms the Schreier generator of each pair of a
-generator and an orbit point once, when the pair is new, without the pairs
-that give the identity by construction (tree edges and their reverses), and
-a revisit sifts only those after the one whose residue was last added. A
-sift passes a level of one point by its key test alone.
+chain's base is drawn from the root span W, the sum of the images of g - I,
+which the generators map to itself: it opens with isotropic lines of the
+symmetric form that the generators preserve on W, derived from the
+generators themselves, where W has dimension 3 or 4 and there is a single
+nondegenerate one, and with a proper W's basis vectors otherwise.
+Schreier-Sims is incremental: a level forms the Schreier generator of each
+pair of a generator and an orbit point once, when the pair is new, without
+the pairs that give the identity by construction (tree edges and their
+reverses), and a revisit sifts only those after the one whose residue was
+last added. A sift passes a level of one point by its key test alone.
 An intersection lists the side of smaller order, from either backend, BATCH
 elements at a time (slices of an enumerated group's keys, or products of a
 chain's transversals), and keeps those the other side contains; a listed
@@ -528,33 +527,33 @@ def _point_keys(ctx: FieldCtx, line: bool, vecs: np.ndarray) -> np.ndarray:
 
 
 def _base_candidates(ctx: FieldCtx, gens: np.ndarray) -> list[tuple[np.ndarray, bool]]:
-    """The base points a chain draws from, in order. Over a field of odd
-    order, where the generators preserve a single nondegenerate symmetric
-    form B on F_q^4, up to scalars, two isotropic points l1 and l2 with
-    B(l1, l2) != 0 give l1 as a line, l2 as a line and l1 as a vector.
-    Where they preserve none or several, the points come from the root span
+    """The base points a chain draws from, in order, read off the root span
     W, the sum of the images im(g - I), which every generator maps into
-    itself: when W has dimension 3 and a single nondegenerate form, an
-    isotropic pair of that form opens the sequence the same way, and
-    otherwise W's basis vectors, in reduced echelon form, open it as vectors.
-    The standard basis vectors always follow, so that only the identity fixes
-    every candidate. Each is a pair (point, line)."""
+    itself. Over a field of odd order, where W has dimension at least 3 and
+    the generators preserve a single nondegenerate symmetric form B on W, up
+    to scalars, two isotropic points l1 and l2 of W with B(l1, l2) != 0 give
+    l1 as a line, l2 as a line and l1 as a vector. Otherwise a proper W's
+    basis vectors, in reduced echelon form, open the sequence as vectors.
+    The standard basis vectors always follow, so that only the identity
+    fixes every candidate. Each is a pair (point, line).
+
+    No form on F_q^4 is solved apart from W's: where W is proper, every
+    linear form phi that vanishes on W has phi g = phi, so phi (x) phi is an
+    invariant form, and a single one is degenerate. So a single
+    nondegenerate form on F_q^4 is found only where W = F_q^4, whose
+    reduced basis is the identity."""
     basis = [(e, False) for e in identity()]
     if ctx.q % 2 == 0:  # the isotropic search divides by 2
         return basis
-    span = identity()
-    form = _invariant_form(ctx, gens)
-    if form is None:
-        rows, pivots = _row_reduce(ctx, np.swapaxes(ctx.sub(gens, span), 1, 2).reshape(-1, 4), 4)
-        span = rows[: len(pivots)]
-        if len(span) == 4:  # W is F_q^4, whose forms were just solved for
-            return basis
+    rows, pivots = _row_reduce(ctx, np.swapaxes(ctx.sub(gens, identity()), 1, 2).reshape(-1, 4), 4)
+    span = rows[: len(pivots)]
+    form = None
+    if len(span) >= 3:  # the isotropic search needs three dimensions
         # a vector of W has its coordinates at the pivots, so g acts on W by
-        # the pivot rows of g span^T
-        if len(span) == 3:
-            form = _invariant_form(ctx, mat_mul(ctx, gens, span.T)[:, pivots])
-        if form is None:
-            return [(v, False) for v in span] + basis
+        # the pivot rows of g span^T, which is g itself where W = F_q^4
+        form = _invariant_form(ctx, mat_mul(ctx, gens, span.T)[:, pivots])
+    if form is None:
+        return basis if len(span) == 4 else [(v, False) for v in span] + basis
     l1, l2 = (_lines(ctx, ctx.mul(l, span, np.matmul)) for l in _isotropic_pair(ctx, form))
     return [(l1, True), (l2, True), (l1, False), *basis]
 
@@ -728,21 +727,20 @@ def bsgs_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
     lines of F_q^4.
 
     The base is drawn from one fixed sequence of candidate points
-    (``_base_candidates``). When the generators preserve a single
-    nondegenerate symmetric form B, up to scalars, as the reduced groups do,
-    the sequence opens with two isotropic points l1 and l2, B(l1, l2) != 0:
-    l1 as a line, l2 as a line, then l1 as a vector (Murray and O'Brien,
-    "Selecting base points for the Schreier-Sims algorithm for matrix
-    groups", J. Symbolic Comput. 19 (1995)). An orthogonal group's orbit on
-    isotropic lines has about q^2 points, against about q^3 for its orbit on
-    vectors. A group with no such form on F_q^4, or with several, is based
-    on its root span W, the sum of the images im(g - I), which it maps to
-    itself: on two isotropic lines of W and the first as a vector, the same
-    way, when W has dimension 3 and a single nondegenerate form (the orbit
-    on them is a conic of q + 1 lines, against about q^2 points for the
-    orbit of a standard basis vector), and on W's basis vectors otherwise.
-    The standard basis vectors always follow. One rule places every strong
-    generator, input or residue (``_add_generator``): it joins each level
+    (``_base_candidates``), read off the root span W, the sum of the images
+    im(g - I), which the group maps to itself. When the generators preserve
+    a single nondegenerate symmetric form B on W, up to scalars, as the
+    reduced groups do on W = F_q^4, the sequence opens with two isotropic
+    points l1 and l2 of W, B(l1, l2) != 0: l1 as a line, l2 as a line, then
+    l1 as a vector (Murray and O'Brien, "Selecting base points for the
+    Schreier-Sims algorithm for matrix groups", J. Symbolic Comput. 19
+    (1995)). An orthogonal group's orbit on isotropic lines has about q^2
+    points, against about q^3 for its orbit on vectors; on a W of dimension
+    3 the orbit is a conic of q + 1 lines, against about q^2 points for the
+    orbit of a standard basis vector. A group with no such form, or with
+    several, is based on a proper W's basis vectors. The standard basis
+    vectors always follow. One rule places every strong generator, input
+    or residue (``_add_generator``): it joins each level
     from where it enters up to the first base point it moves, and one that
     fixes every base point appends the next candidates, up to the first one
     that it moves, so the base is always a prefix of the sequence (and a

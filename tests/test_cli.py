@@ -122,6 +122,20 @@ def test_overcap_exits_4(capsys):
     assert "error:" in err
 
 
+def test_memory_error_exits_4(capsys, monkeypatch):
+    # a cap that memory cannot honour ends in one error line, not a traceback
+    def exhaust(params, cap):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify_cgroup", exhaust)
+    rc, out, err = run(capsys, "verify", "--k", "3", "--prime", "3+1t")
+    assert rc == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_chain_orbit_honors_cap(capsys):
     # q = 1009: G2's chain has orbits far larger than the cap
     rc, _, err = run(capsys, "verify", "--k", "4", "--prime", "8+37t", "--cap", "1000")
@@ -610,7 +624,7 @@ def test_survey_interrupt_keeps_finished_rows(tmp_path, monkeypatch):
         main(["survey", "--k", "all", "--max-norm", "5", "--out", str(out_path)])
     text = out_path.read_text()
     assert text.endswith("\n")
-    assert [json.loads(s) for s in text.splitlines()] == made
+    assert [json.loads(s) for s in text.splitlines()] == [r for r, _ in made]
 
 
 def test_survey_stdout_and_norm_bound(capsys):

@@ -1,5 +1,6 @@
 """Every module of the library and of the tests uses each name it imports,
-the package's ``__all__`` lists exactly what it imports, every definition in
+the package's ``__all__`` lists exactly what it imports, README's library
+session runs and prints what it documents, every definition in
 the library is referenced somewhere, the library never asks numpy for a
 bare ``np.unique``, and a chain level's action on its base point is applied
 in one function."""
@@ -7,6 +8,8 @@ in one function."""
 from __future__ import annotations
 
 import ast
+import io
+from contextlib import redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,6 +51,18 @@ def test_package_all_lists_its_imports():
     assert sorted(starcox.__all__) == sorted([*imported, "__version__"])
     for name in starcox.__all__:
         getattr(starcox, name)
+
+
+def test_readme_library_session_runs():
+    # the session README documents runs on the package's exports and prints
+    # what its comments say
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    session = readme.split("A typical library session:", 1)[1]
+    code = session.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == ["O1(4,11,-1)", "True"]
 
 
 def referenced_names(tree: ast.Module) -> set[str]:

@@ -27,7 +27,9 @@ from starcox.matgroup import (
     _isotropic_pair,
     _kernel,
     _keys,
+    _lines,
     _point_keys,
+    _row_reduce,
     _sift,
     _successors,
     bsgs_group,
@@ -668,6 +670,68 @@ def test_root_span_base_keeps_orders(q, monkeypatch):
             queries = mat_mul(ctx, queries, words[:, i])
         queries = np.concatenate([queries, random_mats(ctx, 8)])
         assert np.array_equal(group.contains_batch(queries), oracle.contains_batch(queries))
+
+
+def fourspace_first_candidates(ctx, gens):
+    """The base points chains drew from while a form on F_q^4 was solved for
+    before the root span W: isotropic points of a single nondegenerate form
+    on F_q^4; else, where W is proper, those of a single nondegenerate form
+    on W when W has dimension 3, or W's reduced rows as vectors; then e1..e4
+    as vectors."""
+    basis = [(e, False) for e in identity()]
+    if ctx.q % 2 == 0:
+        return basis
+    span = identity()
+    form = _invariant_form(ctx, gens)
+    if form is None:
+        rows, pivots = _row_reduce(ctx, np.swapaxes(ctx.sub(gens, span), 1, 2).reshape(-1, 4), 4)
+        span = rows[: len(pivots)]
+        if len(span) == 4:
+            return basis
+        if len(span) == 3:
+            form = _invariant_form(ctx, mat_mul(ctx, gens, span.T)[:, pivots])
+        if form is None:
+            return [(v, False) for v in span] + basis
+    l1, l2 = (_lines(ctx, ctx.mul(l, span, np.matmul)) for l in _isotropic_pair(ctx, form))
+    return [(l1, True), (l2, True), (l1, False), *basis]
+
+
+@pytest.mark.parametrize("q", [q for q in PRIMES if q <= 61])
+def test_base_candidates_match_fourspace_first_oracle(q):
+    # solving for a form on W alone gives the candidates of solving on F_q^4
+    # first: a proper W makes phi (x) phi invariant for every phi vanishing
+    # on W, so a single form on F_q^4 is degenerate there. The singular full
+    # groups (k = 5 at q = 5, k = 6 at q = 9) have W = F_q^4 and no single
+    # form, and open with e1..e4 alone
+    def as_list(cands):
+        return [(point.tobytes(), line) for point, line in cands]
+
+    for k in (3, 4, 5, 6):
+        ctx, gens = gens_of(k, *PRIMES[q])
+        for n in range(1, 5):
+            for subset in itertools.combinations(range(4), n):
+                got = matgroup._base_candidates(ctx, gens[list(subset)])
+                want = fourspace_first_candidates(ctx, gens[list(subset)])
+                assert as_list(got) == as_list(want), (k, subset)
+        if (k, q) in ((5, 5), (6, 9)):
+            assert as_list(matgroup._base_candidates(ctx, gens)) == as_list(
+                [(e, False) for e in identity()])
+
+
+def test_rank3_chains_solve_one_form(monkeypatch):
+    # G0 and G2 at k = 6, q = 59 solve for a form on their root span only
+    calls = []
+
+    def counted(ctx, gens):
+        calls.append(gens.shape)
+        return _invariant_form(ctx, gens)
+
+    monkeypatch.setattr(matgroup, "_invariant_form", counted)
+    ctx, gens = gens_of(6, *PRIMES[59])
+    for omit in "02":
+        calls.clear()
+        bsgs_group(ctx, gens[kept(omit)])
+        assert calls == [(3, 3, 3)], omit
 
 
 @pytest.mark.parametrize("k,prime", [(3, (7, 0)), (4, (7, 0)), (5, (7, 0)), (6, (7, 0)), (3, (-13, -3))])
