@@ -4,7 +4,7 @@ reduction homomorphism."""
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ring import EvenPrimeError, GoldenInt, GoldenPrime
 
@@ -21,12 +21,19 @@ class FieldCtx:
     digit low: at degree 1 char = q and y = 0, so a code is x itself. Code 1
     is one at every degree, and the codes below char are the prime field.
     theta is the image of tau, so tau_code always satisfies t^2 = t + 1.
+
+    ``tables`` holds, at q <= 16, the digit table that decodes base-q row
+    codes (``matgroup._digits``) and one row table per matrix that a closure
+    in this field has multiplied by, keyed by the matrix's key
+    (``matgroup._successors``). It is a memo: it takes no part in equality,
+    hashing or repr, and it lives as long as the field.
     """
 
     char: int
     degree: int
     q: int
     tau_code: int
+    tables: dict = field(default_factory=dict, compare=False, repr=False)
 
     def decode(self, code: int) -> tuple[int, int]:
         y, x = divmod(code, self.char)

@@ -11,8 +11,10 @@ once, as the sorted keys of its elements, so the keys serve BFS
 deduplication, membership and intersection alike, and ``elements`` decodes
 them on access. A BFS layer takes the keys of x g for every key x and
 generator g from ``_successors``: at q <= 16 by a table per generator from
-row codes to row codes, filled lazily through ``mat_mul``, so it never
-decodes a matrix, and above q = 16 by decoded products. The BFS is a
+row codes to row codes, built once per field on first use and kept on the
+``FieldCtx`` (at most 2 q^4 bytes per generator), so it never decodes a
+matrix, and above q = 16 by decoded products. At q <= 16 keys decode
+through one digit table per field, kept beside the row tables. The BFS is a
 frontier search: it also multiplies by the inverses of generators that are
 not involutions, so its Cayley graph is undirected, a layer's candidates can
 only meet the two layers before them, and the store is sorted once, at the
@@ -166,40 +168,46 @@ def _compact_dtype(ctx: FieldCtx) -> np.dtype:
 
 # a key of 4 or 8 bytes is held as one integer; a wider one stays void
 _WORDS = {4: np.dtype(np.uint32), 8: np.dtype(np.uint64)}
-# codes below 16 fit in four bits, so up to this q a matrix key packs two
-# entries to a byte: 8 bytes, one uint64
-_NIBBLE_Q = 16
+# up to this q a row of four codes has a uint16 base-q code (q^4 <= 2^16), so
+# a matrix key packs its four rows into one uint64
+_ROW_Q = 16
 
 
 def _keys(ctx: FieldCtx, arrs: np.ndarray, width: int = 16) -> np.ndarray:
     """Keys of a stack of matrices (width 16) or vectors (width 4); a key
     holds its whole matrix or vector. A key that fits a machine word is an
-    unsigned integer: a matrix at q <= 16 is a uint64 base-16 code, two
-    entries to a byte, and a vector is its compact entries viewed as uint32
-    (q <= 255) or uint64 (q <= 65,535). A wider key is a void-dtype view of
-    the compact entries."""
-    compact = np.ascontiguousarray(arrs.reshape(-1, width).astype(_compact_dtype(ctx)))
-    if width == 16 and ctx.q <= _NIBBLE_Q:
-        compact = _pack_nibbles(compact)
+    unsigned integer: a matrix at q <= 16 is its four base-q row codes, row 0
+    lowest, viewed as one uint64, and a vector is its compact entries viewed
+    as uint32 (q <= 255) or uint64 (q <= 65,535). A wider key is a void-dtype
+    view of the compact entries. Either way a matrix key is a mixed-radix
+    number whose last entry is most significant."""
+    if width == 16 and ctx.q <= _ROW_Q:
+        compact = _pack_rows(ctx.q, arrs.reshape(-1, 4, 4))
+    else:
+        compact = np.ascontiguousarray(arrs.reshape(-1, width).astype(_compact_dtype(ctx)))
     nbytes = compact.shape[1] * compact.itemsize
     return compact.view(_WORDS.get(nbytes, f"V{nbytes}")).ravel()
 
 
-def _pack_nibbles(codes: np.ndarray) -> np.ndarray:
-    """uint8 codes below 16 along the last axis, two to a byte, the first in the low bits."""
-    return codes[..., 0::2] | codes[..., 1::2] << 4
+def _pack_rows(q: int, rows: np.ndarray) -> np.ndarray:
+    """The uint16 base-q codes c0 + q c1 + q^2 c2 + q^3 c3 of rows of four
+    codes below q <= 16, along the last axis."""
+    return (rows @ q ** np.arange(4)).astype(np.uint16)
 
 
-def _unpack_nibbles(packed: np.ndarray, width: int) -> np.ndarray:
-    """The int64 codes of nibble-packed keys, width codes to a key."""
-    packed = packed.view(np.uint8)
-    return np.stack([packed & 0xF, packed >> 4], axis=-1).reshape(-1, width).astype(np.int64)
+def _digits(ctx: FieldCtx) -> np.ndarray:
+    """The four codes of every base-q row code at q <= 16, a (q^4, 4) uint8
+    table, built on first use and kept in ``ctx.tables``: 4 q^4 bytes."""
+    if "digits" not in ctx.tables:
+        rows = np.arange(ctx.q**4, dtype=np.uint16)[:, None]
+        ctx.tables["digits"] = (rows // ctx.q ** np.arange(4) % ctx.q).astype(np.uint8)
+    return ctx.tables["digits"]
 
 
 def _decode(ctx: FieldCtx, keys: np.ndarray) -> np.ndarray:
     """The int64 matrices held by keys, in key order."""
-    if ctx.q <= _NIBBLE_Q:
-        return _unpack_nibbles(keys, 16).reshape(-1, 4, 4)
+    if ctx.q <= _ROW_Q:
+        return np.take(_digits(ctx), keys.view(np.uint16), axis=0).reshape(-1, 4, 4).astype(np.int64)
     return keys.view(_compact_dtype(ctx)).reshape(-1, 4, 4).astype(np.int64)
 
 
@@ -239,12 +247,14 @@ def _dedup(ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:
 def _successors(ctx: FieldCtx, gens: np.ndarray):
     """The map from matrix keys to the keys of x g for every key x and every
     generator g, shape (len(gens), len(keys)). At q <= 16 a key is four
-    16-bit row codes and row i of x g is (row i of x) g, so one table per
+    base-q row codes and row i of x g is (row i of x) g, so one table per
     generator takes row codes to row codes ("Four Russians"; Albrecht, Bard
-    and Hart, ACM TOMS 37 (2010)); the map fills its tables through
-    ``mat_mul`` with only the rows no earlier call met. Above q = 16 keys
-    are decoded and multiplied BATCH products at a time."""
-    if ctx.q > _NIBBLE_Q:
+    and Hart, ACM TOMS 37 (2010)). A table is built by one product over all
+    q^4 rows the first time a closure in the field uses its generator, and
+    kept in ``ctx.tables`` under the generator's key: 2 q^4 bytes, at most
+    128 KiB. Above q = 16 keys are decoded and multiplied BATCH products at
+    a time."""
+    if ctx.q > _ROW_Q:
         step = max(1, BATCH // max(1, len(gens)))
 
         def apply(keys: np.ndarray) -> np.ndarray:
@@ -256,18 +266,14 @@ def _successors(ctx: FieldCtx, gens: np.ndarray):
 
         return apply
 
-    side_by_side = gens.transpose(1, 0, 2).reshape(4, -1)  # row code times every g at once
-    table = np.zeros((len(gens), 1 << 16), dtype=np.uint16)
-    known = np.zeros(1 << 16, dtype=bool)
+    table = np.empty((len(gens), ctx.q**4), dtype=np.uint16)
+    for i, (g, key) in enumerate(zip(gens, _keys(ctx, gens).tolist())):
+        if key not in ctx.tables:
+            ctx.tables[key] = _pack_rows(ctx.q, mat_mul(ctx, _digits(ctx).astype(np.int64), g))
+        table[i] = ctx.tables[key]
 
     def apply(keys: np.ndarray) -> np.ndarray:
-        rows = keys.view(np.uint16)
-        new = sorted_unique(rows[~known[rows]])
-        if len(new):
-            known[new] = True
-            images = mat_mul(ctx, _unpack_nibbles(new, 4), side_by_side)
-            table[:, new] = _pack_nibbles(images.astype(np.uint8)).view(np.uint16).T
-        return np.take(table, rows, axis=1).view(np.uint64)
+        return np.take(table, keys.view(np.uint16), axis=1).view(np.uint64)
 
     return apply
 

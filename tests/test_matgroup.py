@@ -358,20 +358,78 @@ def test_successor_keys_match_products(q, monkeypatch):
             assert np.array_equal(got, successor_reference(ctx, part, gens))
 
 
-def test_successor_tables_fill_lazily(monkeypatch):
-    # the row tables multiply only the rows the closure meets: the dihedral
-    # <r0, r1> of order 10 at q = 11 has at most 4 * 10 of the q^4 = 14,641
-    ctx, gens = gens_of(4, *PRIMES[11])
+def test_successor_tables_are_built_once_per_field(monkeypatch):
+    # a row table is one product over all q^4 rows, formed the first time a
+    # closure in the field multiplies by its generator, and kept in
+    # ctx.tables beside the field's one digit table: the closure of
+    # <r0, r1, r3> forms three, a later one of <r1, r3> none, and one of
+    # <r0 r1>, not an involution, two more, for r0 r1 and its inverse
+    ctx = ctx_of(*PRIMES[11])
+    _, gens = gens_of(4, *PRIMES[11])
     rows = []
 
     def counted(ctx, a, b):
-        rows.append(a.reshape(-1, a.shape[-1]).shape[0])
+        if a.shape == (ctx.q**4, 4):
+            rows.append(a.shape[0])
         return mat_mul(ctx, a, b)
 
     monkeypatch.setattr(matgroup, "mat_mul", counted)
-    group = enumerate_group(ctx, gens[[0, 1]])
-    assert group.order == 10
-    assert 0 < sum(rows) <= 4 * group.order
+    r0r1 = mat_mul(ctx, gens[0], gens[1])[None]
+    for subset, order, distinct in ((gens[[0, 1, 3]], 2640, 3), (gens[[1, 3]], 8, 3), (r0r1, 5, 5)):
+        assert enumerate_group(ctx, subset).order == order
+        assert sum(rows) == distinct * ctx.q**4
+        assert len(ctx.tables) == distinct + 1  # and the digit table
+    row_tables = [t for key, t in ctx.tables.items() if key != "digits"]
+    assert all(t.dtype == np.uint16 and t.nbytes == 2 * ctx.q**4 for t in row_tables)
+    assert ctx.tables["digits"].nbytes == 4 * ctx.q**4
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_fields_of_one_order_keep_their_own_tables(first):
+    # -3-t and -1+3t both give q = 11 and send tau to different codes, so
+    # their reduced generators differ; each field's row tables must give its
+    # own products whichever field builds tables first
+    primes = [(-3, -1), (-1, 3)]
+    primes = primes[first:] + primes[:first]
+    fields = []
+    for a, b in primes:
+        ctx, gens = gens_of(4, a, b)
+        keys = enumerate_group(ctx, gens[[0, 1, 3]])._sorted_keys
+        got = _successors(ctx, gens)(keys)
+        assert np.array_equal(got, successor_reference(ctx, keys, gens))
+        fields.append(ctx)
+    assert fields[0].q == fields[1].q and fields[0].tau_code != fields[1].tau_code
+    assert fields[0].tables is not fields[1].tables
+
+
+def test_field_tables_take_no_part_in_equality():
+    ctx, gens = gens_of(4, *PRIMES[11])
+    enumerate_group(ctx, gens[[0, 1, 3]])
+    fresh = ctx_of(*PRIMES[11])
+    assert ctx.tables and not fresh.tables
+    assert ctx == fresh and hash(ctx) == hash(fresh) and repr(ctx) == repr(fresh)
+
+
+def nibble_keys(mats):
+    """Matrix keys as the four-bit coding packs them, two codes to a byte, the
+    first in the low bits: the coding of the q <= 16 keys before base-q rows."""
+    codes = np.ascontiguousarray(mats.reshape(-1, 16).astype(np.uint8))
+    return (codes[:, 0::2] | codes[:, 1::2] << 4).view(np.uint64).ravel()
+
+
+@pytest.mark.parametrize("q", [4, 5, 9, 11])
+def test_row_keys_sort_like_nibble_keys(q):
+    # both codings are mixed radix with the last code most significant, so
+    # keys sort the same under either, and decoding inverts the keys
+    ctx = ctx_of(*PRIMES[q])
+    mats = random_mats(ctx, 4000)
+    mats[:8] = 0
+    mats[8:16] = ctx.q - 1
+    keys = _keys(ctx, mats)
+    assert keys.dtype == np.uint64
+    assert np.array_equal(np.argsort(keys, kind="stable"),
+                          np.argsort(nibble_keys(mats), kind="stable"))
+    assert np.array_equal(_decode(ctx, keys), mats)
 
 
 # ---------------------------------------------------------------------------
