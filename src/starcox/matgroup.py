@@ -18,20 +18,22 @@ through one digit table per field, kept beside the row tables. The BFS is a
 frontier search: it also multiplies by the inverses of generators that are
 not involutions, so its Cayley graph is undirected, a layer's candidates can
 only meet the two layers before them, and the store is sorted once, at the
-end. A Schreier-Sims level acts on vectors or on lines, a line keyed by its
-vector scaled so that its first nonzero entry is one, and stores its orbit
-as the sorted keys of its points, with the transversal as stacked arrays in
-the same order. One method (``_Level.image_keys``) applies that action to
-the base point, for the sift, the Schreier generators and the joining rule
-alike. One orbit loop builds every level, and extends a level's orbit in
-place when strong generators join it, with two step rules: breadth-first
-layers, the first by the new generators from every point held, and cyclic
-doubling of the cycle that one generator makes; either way the transversal
-is a Schreier tree, and each step records the parent and edge generator of
-each point it finds, in the one order the points were found, while the
-points held keep theirs. One batched sift serves
-membership and the Schreier generators alike, and one rule
-(``_add_generator``) decides which levels a new strong generator joins:
+end. At odd q, where every generator has determinant -1 (reflections), the
+layers alternate in determinant, so a layer's candidates can only meet the
+layer before last, and are checked against it alone. A Schreier-Sims level
+acts on vectors or on lines, a line keyed by its vector scaled so that its
+first nonzero entry is one, and stores its orbit as the sorted keys of its
+points, with the transversal as stacked arrays in the same order. One method
+(``_Level.image_keys``) applies that action to the base point, for the sift,
+the Schreier generators and the joining rule alike. One orbit loop builds
+every level, and extends a level's orbit in place when strong generators
+join it, with two step rules: breadth-first layers, the first by the new
+generators from every point held, and cyclic doubling of the cycle that one
+generator makes; either way the transversal is a Schreier tree, and each
+step records the parent and edge generator of each point it finds, in the
+one order the points were found, while the points held keep theirs. One
+batched sift serves membership and the Schreier generators alike, and one
+rule (``_add_generator``) decides which levels a new strong generator joins:
 every level from where it enters up to the first base point it moves. The
 chain's base is drawn from the root span W, the sum of the images of g - I,
 which the generators map to itself: it opens with isotropic lines of the
@@ -134,6 +136,20 @@ def mat_inv(ctx: FieldCtx, m: np.ndarray) -> np.ndarray:
     return rows[:, 4:]
 
 
+def _det(ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of 4x4 matrices, by Laplace expansion along
+    rows 0-1: the sum of m_ij n_kl over the even permutations (i, j, k, l)
+    of 0..3 with i < j, where m_ij = a_i b_j - a_j b_i is the 2x2 minor of
+    rows 0-1 (a and b) on columns i and j, and n_kl that of rows 2-3. The
+    six terms are summed by one 1x6 by 6x1 product, whose intermediates
+    stay below 6 q^2 < 2^63 at every q < ``field.Q_LIMIT``."""
+    prod = ctx.mul(mats[:, ::2, :, None], mats[:, 1::2, None, :])  # a_i b_j and c_k d_l
+    minors = ctx.sub(prod, np.swapaxes(prod, 2, 3)).reshape(-1, 2, 16)  # minor ij at 4 i + j
+    # (i, j, k, l) = 0123, 0231, 0312, 1203, 1320, 2301
+    ij, kl = (1, 2, 3, 6, 7, 11), (11, 13, 6, 3, 8, 1)
+    return ctx.mul(minors[:, :1, ij], minors[:, 1, kl, None], np.matmul)[:, 0, 0]
+
+
 def element_order(ctx: FieldCtx, m: np.ndarray, cap: int = 10_000) -> int:
     """Smallest n >= 1 with m^n = I."""
     ident = identity()
@@ -214,12 +230,14 @@ def _decode(ctx: FieldCtx, keys: np.ndarray) -> np.ndarray:
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
     """The distinct entries of a 1-D array, sorted. Unlike ``np.unique``,
     which puts an integer array through a hash table, this sorts and
-    compares neighbours, which is faster on keys."""
+    compares neighbours, which is faster on keys. The distinct keys are
+    gathered by ``compress``, 3 to 5 times faster than a boolean-mask index
+    on numpy 2.4."""
     keys = np.sort(keys)
     first = np.empty(len(keys), dtype=bool)
     first[:1] = True
     first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
+    return keys.compress(first)
 
 
 def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -237,7 +255,7 @@ def _missing(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     merged.sort(kind="stable")
     once = np.ones(len(merged) + 1, dtype=bool)
     once[1:-1] = merged[1:] != merged[:-1]
-    return merged[once[:-1] & once[1:]]
+    return merged.compress(once[:-1] & once[1:])
 
 
 def _dedup(ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:
@@ -396,10 +414,17 @@ def enumerate_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
     every neighbour of layer n lies in layer n - 1, n or n + 1. So a
     candidate of layer n + 1 is fresh unless it lies in layer n - 1 or n, and
     it is checked against those two layers alone (``_missing``), never
-    against the whole store. The layers are collected, and the store is
+    against the whole store. Where q is odd and every generator has
+    determinant -1, as reflections do, the layers alternate in determinant:
+    det is a homomorphism, so an element at distance n has det (-1)^n
+    (Humphreys, Reflection Groups and Coxeter Groups, CUP 1990, section
+    5.2), the inverses added have det -1 too, and -1 != 1 at odd q. Then a
+    candidate of layer n + 1 cannot lie in layer n, and it is checked
+    against layer n - 1 alone. The layers are collected, and the store is
     concatenated and sorted once, at the end. The cap bounds the running
     total of elements."""
     gens = _dedup(ctx, np.asarray(gens, dtype=np.int64).reshape(-1, 4, 4))
+    alternating = ctx.q % 2 == 1 and bool((_det(ctx, gens) == ctx.neg(1)).all())
     squares_to_one = (mat_mul(ctx, gens, gens) == identity()).all(axis=(1, 2))
     invs = np.array([mat_inv(ctx, g) for g in gens[~squares_to_one]], dtype=np.int64)
     times_gens = _successors(ctx, np.concatenate([gens, invs.reshape(-1, 4, 4)]))
@@ -407,7 +432,7 @@ def enumerate_group(ctx: FieldCtx, gens, cap: int = DEFAULT_CAP) -> GroupHandle:
     layers, total = [frontier[:0], frontier], 1  # layer -1 is empty
     while len(frontier):
         frontier = sorted_unique(times_gens(frontier).ravel())
-        for layer in layers[-2:]:
+        for layer in layers[-2:-1] if alternating else layers[-2:]:
             frontier = _missing(frontier, layer)
         total += len(frontier)
         if total > cap:

@@ -22,12 +22,14 @@ from starcox.matgroup import (
     SingularMatrixError,
     _decode,
     _dedup,
+    _det,
     _find,
     _invariant_form,
     _isotropic_pair,
     _kernel,
     _keys,
     _lines,
+    _missing,
     _point_keys,
     _row_reduce,
     _sift,
@@ -134,6 +136,46 @@ def test_element_order_basics():
     assert element_order(ctx, r0r1) == 5
 
 
+def leibniz_det(ctx, m):
+    """The determinant of one matrix as a sum over the 24 permutations: in
+    integers, reduced mod q, at degree 1, and through the field's scalar
+    operations at degree 2."""
+    out = 0
+    for perm in itertools.permutations(range(4)):
+        odd = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(4), 2)) % 2
+        if ctx.degree == 1:
+            out += (-1) ** odd * math.prod(int(m[i, perm[i]]) for i in range(4))
+            continue
+        term = 1
+        for i in range(4):
+            term = ctx.mul(term, int(m[i, perm[i]]))
+        out = ctx.add(out, ctx.neg(term) if odd else term)
+    return out % ctx.q
+
+
+@pytest.mark.parametrize("q", [4, 5, 9, 11, 19, 49])
+def test_det_matches_leibniz_reference(q):
+    # random matrices, singular ones with a repeated row among them, and the
+    # reduced generators, which are reflections: det -1 at every k
+    ctx = ctx_of(*PRIMES[q])
+    mats = random_mats(ctx, 60)
+    mats[:5, 3] = mats[:5, 1]
+    want = [leibniz_det(ctx, m) for m in mats]
+    assert _det(ctx, mats).tolist() == want
+    assert want[:5] == [0] * 5
+    for k in (3, 4, 5, 6):
+        ctx, gens = gens_of(k, *PRIMES[q])
+        assert _det(ctx, gens).tolist() == [ctx.neg(1)] * 4
+
+
+def test_det_exact_at_the_largest_fields():
+    # the fields of test_mat_mul_exact_at_the_largest_fields; entries near
+    # q - 1 give the largest int64 intermediates
+    for ctx in (ctx_of(32759, 18), ctx_of(32717, 0)):
+        mats = np.concatenate([ctx.q - 1 - RNG.integers(0, 3, size=(20, 4, 4)), random_mats(ctx, 20)])
+        assert _det(ctx, mats).tolist() == [leibniz_det(ctx, m) for m in mats]
+
+
 # ---------------------------------------------------------------------------
 # keys
 
@@ -184,14 +226,33 @@ def test_decode_inverts_integer_keys():
 
 def test_sorted_unique_matches_np_unique():
     # uint32 vector keys at q = 61, uint64 ones at q = 269, void matrix keys
-    # at q = 61; entries below 3 make repeated keys
-    for q, width in ((61, 4), (269, 4), (61, 16)):
+    # at q = 61 and uint64 row keys at q = 9 and 11; entries below 3 make
+    # repeated keys
+    for q, width in ((61, 4), (269, 4), (61, 16), (9, 16), (11, 16)):
         ctx = ctx_of(*PRIMES[q])
         keys = _keys(ctx, RNG.integers(0, 3, size=(600, width), dtype=np.int64), width)
         keys = np.concatenate([keys, keys[::3]])
         assert len(np.unique(keys)) < len(keys)
         assert np.array_equal(sorted_unique(keys), np.unique(keys))
         assert len(sorted_unique(keys[:0])) == 0
+
+
+@pytest.mark.parametrize("q,width", [(61, 4), (11, 16), (61, 16)], ids=["u32-vec", "u64-mat", "void-mat"])
+def test_missing_matches_setdiff1d(q, width):
+    # uint32 vector keys, uint64 row keys and void matrix keys; each side
+    # shares some keys with the other, and either may be empty
+    ctx = ctx_of(*PRIMES[q])
+
+    def keys_of(low, high, n):
+        return _keys(ctx, RNG.integers(low, high, size=(n, width), dtype=np.int64), width)
+
+    keys = sorted_unique(keys_of(0, 3, 900))
+    held = sorted_unique(np.concatenate([keys[::2], keys_of(3, 5, 50)]))
+    for a, b in ((keys, held), (held, keys), (keys, keys[:0]), (keys[:0], held), (keys[:0], keys[:0])):
+        got = _missing(a, b)
+        assert got.dtype == a.dtype
+        assert got.tobytes() == np.setdiff1d(a, b).tobytes()
+    assert 0 < len(_missing(keys, held)) < len(keys)
 
 
 @pytest.mark.parametrize(
@@ -323,6 +384,39 @@ def test_frontier_search_matches_full_store_bfs(q):
                  np.concatenate([identity()[None], gens[[1, 2]]])]
         sizes += [assert_closure_matches_full_store_bfs(ctx, s, 20_000) for s in sets]
     assert sum(n is not None for n in sizes) >= 20
+
+
+def missing_calls_per_layer(monkeypatch, ctx, gens):
+    """The ``_missing`` calls of one closure over its layers: one
+    ``sorted_unique`` call per layer, after the one that deduplicates the
+    generators."""
+    calls = {"layers": -1, "missing": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(matgroup, "sorted_unique", counted("layers", sorted_unique))
+    monkeypatch.setattr(matgroup, "_missing", counted("missing", _missing))
+    enumerate_group(ctx, gens)
+    return calls["missing"] / calls["layers"]
+
+
+@pytest.mark.parametrize("q", [4, 5, 9, 11, 19])
+def test_closures_check_one_layer_only_where_layers_alternate(q, monkeypatch):
+    # reflections at odd q make layers alternate in determinant, so each
+    # layer is checked against the layer before last alone; at q = 4 det -1
+    # is 1, and r0 r1 (det 1) or the identity among the generators breaks
+    # the alternation, so those check the last two layers
+    ctx, gens = gens_of(4, *PRIMES[q])
+    per_layer = 1 if q % 2 else 2
+    for subset in ([0, 1, 2], [1, 2, 3], [0, 1, 3]):
+        assert missing_calls_per_layer(monkeypatch, ctx, gens[subset]) == per_layer
+    r0r1 = mat_mul(ctx, gens[0], gens[1])[None]
+    assert missing_calls_per_layer(monkeypatch, ctx, r0r1) == 2
+    assert missing_calls_per_layer(monkeypatch, ctx, np.concatenate([identity()[None], gens[[1, 2]]])) == 2
 
 
 @pytest.mark.parametrize("q", [4, 11, 19])
