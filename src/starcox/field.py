@@ -25,8 +25,10 @@ class FieldCtx:
     ``tables`` holds, at q <= 16, the digit table that decodes base-q row
     codes (``matgroup._digits``) and one row table per matrix that a closure
     in this field has multiplied by, keyed by the matrix's key
-    (``matgroup._successors``). It is a memo: it takes no part in equality,
-    hashing or repr, and it lives as long as the field.
+    (``matgroup._successors``), and, at q <= 65,535, the inverses of all q
+    codes that scale vectors to lines (``matgroup._lines``). It is a memo:
+    it takes no part in equality, hashing or repr, and it lives as long as
+    the field.
     """
 
     char: int

@@ -22,17 +22,23 @@ end. At odd q, where every generator has determinant -1 (reflections), the
 layers alternate in determinant, so a layer's candidates can only meet the
 layer before last, and are checked against it alone. A Schreier-Sims level
 acts on vectors or on lines, a line keyed by its vector scaled so that its
-first nonzero entry is one, and stores its orbit as the sorted keys of its
-points, with the transversal as stacked arrays in the same order. One method
+first nonzero entry is one (its leading entry inverted through a table of
+the inverses of all q codes, kept in the field's tables wherever vector
+keys are integers), and stores its orbit as the sorted keys of its points,
+with the transversal as stacked arrays in the same order. One method
 (``_Level.image_keys``) applies that action to the base point, for the sift,
 the Schreier generators and the joining rule alike. One orbit loop builds
 every level, and extends a level's orbit in place when strong generators
 join it, with two step rules: breadth-first layers, the first by the new
 generators from every point held, and cyclic doubling of the cycle that one
-generator makes; either way the transversal is a Schreier tree, and each
-step records the parent and edge generator of each point it finds, in the
-one order the points were found, while the points held keep theirs. One
-batched sift serves membership and the Schreier generators alike, and one
+generator makes. A step merges the keys of its images into the held keys
+by one stable argsort and keeps the first of each run of equal keys, so a
+new point is the first image of its key. Either way the transversal is a
+Schreier tree, and each step records the parent and edge generator of each
+point it finds, in the one order the points were found, while the points
+held keep theirs; the search forms no transversal, and the steps are
+replayed in order once it ends, straight into key order. One batched sift
+serves membership and the Schreier generators alike, and one
 rule (``_add_generator``) decides which levels a new strong generator joins:
 every level from where it enters up to the first base point it moves. The
 chain's base is drawn from the root span W, the sum of the images of g - I,
@@ -43,8 +49,9 @@ nondegenerate one, and with a proper W's basis vectors otherwise.
 Schreier-Sims is incremental: a level forms the Schreier generator of each
 pair of a generator and an orbit point once, when the pair is new, without
 the pairs that give the identity by construction (tree edges and their
-reverses), and a revisit sifts only those after the one whose residue was
-last added. A sift passes a level of one point by its key test alone.
+reverses), BATCH pairs at a time whichever generators they take, and a
+revisit sifts only those after the one whose residue was last added. A
+sift passes a level of one point by its key test alone.
 An intersection lists the side of smaller order, from either backend, BATCH
 elements at a time (slices of an enumerated group's keys, or products of a
 chain's transversals), and keeps those the other side contains; a listed
@@ -234,10 +241,15 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     gathered by ``compress``, 3 to 5 times faster than a boolean-mask index
     on numpy 2.4."""
     keys = np.sort(keys)
-    first = np.empty(len(keys), dtype=bool)
+    return keys.compress(_run_starts(keys))
+
+
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """A mask of the first entry of each run of equal entries of a sorted array."""
+    first = np.empty(len(sorted_keys), dtype=bool)
     first[:1] = True
-    first[1:] = keys[1:] != keys[:-1]
-    return keys.compress(first)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return first
 
 
 def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -466,9 +478,21 @@ def _invariant_form(ctx: FieldCtx, gens: np.ndarray) -> np.ndarray | None:
 
 
 def _lines(ctx: FieldCtx, vecs: np.ndarray) -> np.ndarray:
-    """Each vector scaled so that its first nonzero entry is one; a zero vector stays zero."""
-    lead = np.take_along_axis(vecs, np.argmax(vecs != 0, axis=-1)[..., None], axis=-1)
-    return ctx.mul(vecs, ctx.pow_(lead, ctx.q - 2))
+    """Each vector scaled so that its first nonzero entry is one; a zero
+    vector stays zero. Where q <= 65,535, as vector keys are integers, the
+    leading entries are inverted through a table of the inverses of all q
+    codes (0 for code 0), made by one ``pow_`` when the field first needs
+    it and kept in ``ctx.tables``: 8 q bytes, at most 512 KiB. Above that,
+    by ``pow_`` itself."""
+    flat = vecs.reshape(-1, vecs.shape[-1])
+    lead = flat[np.arange(len(flat)), np.argmax(flat != 0, axis=1)]
+    if ctx.q > 0xFFFF:
+        inv = ctx.pow_(lead, ctx.q - 2)
+    else:
+        if "inverses" not in ctx.tables:
+            ctx.tables["inverses"] = ctx.pow_(np.arange(ctx.q), ctx.q - 2)
+        inv = ctx.tables["inverses"][lead]
+    return ctx.mul(flat, inv[:, None]).reshape(vecs.shape)
 
 
 def _isotropic_pair(ctx: FieldCtx, form: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -596,10 +620,11 @@ def _build_orbit(ctx: FieldCtx, lvl: _Level, cap: int) -> np.ndarray:
     Return, in key order, how many generators each point has been paired
     with: the old count for a point held before, zero for a new one (see
     ``_schreier_generators``). Each step maps source points by step elements
-    and keeps the images not seen before; the transversal of a new point is
-    the step element times that of its source, and its inverse is the
-    source's inverse times the step element's. The held points are read
-    from their keys, which decode as vectors.
+    and keeps the images not seen before. One stable argsort of the held
+    keys followed by the images' keys merges them, and the first key of each
+    run of equal ones is kept: a held point's own, else the first image of
+    that key, as the new point. The held points are read from their keys,
+    which decode as vectors.
 
     Breadth-first, the first step maps every held point by the new
     generators, and each later step maps the points the last step found by
@@ -625,10 +650,13 @@ def _build_orbit(ctx: FieldCtx, lvl: _Level, cap: int) -> np.ndarray:
     and the parent of each is the point found before it, by the one
     generator.
 
-    New rows are appended in the order found, in the compact dtype, after
-    the held ones, and only the keys are kept sorted; one argsort at the end
-    puts the rows in key order, widened to int64."""
-    compact = _compact_dtype(ctx)
+    The search forms no transversal: a step records its step elements and,
+    for each new point, its step element and source. Once the search ends,
+    one argsort of the keys in the order found gives each point's place in
+    key order, and the steps are replayed in order straight into one int64
+    array each for t and t_inv: t of a new point is its step element times
+    t of its source, and t_inv is the source's t_inv times the step
+    element's inverse."""
     gens, invs = np.stack(lvl.gens), np.stack(lvl.gen_invs)
     old = lvl.built
     if not old:
@@ -636,46 +664,54 @@ def _build_orbit(ctx: FieldCtx, lvl: _Level, cap: int) -> np.ndarray:
         lvl.t = lvl.t_inv = identity()[None]
         lvl.parent = lvl.edge = np.full(1, -1)
     cyclic = not old and len(gens) == 1
-    keys, t, t_inv = lvl.keys, lvl.t, lvl.t_inv
-    vecs = keys.view(compact).reshape(-1, 4).astype(np.int64)
+    keys = lvl.keys
+    vecs = keys.view(_compact_dtype(ctx)).reshape(-1, 4).astype(np.int64)
     steps, step_invs = gens[old:], invs[old:]
-    found, ts, t_invs, parents, edges = [keys], [t], [t_inv], [lvl.parent], [lvl.edge]
+    found, parents, edges, record = [keys], [lvl.parent], [lvl.edge], []
     while len(vecs):
         imgs = mat_vec(ctx, steps[:, None], vecs[None]).reshape(-1, 4)
-        cand, first = np.unique(_point_keys(ctx, lvl.line, imgs), return_index=True)
-        fresh = _find(keys, cand) < 0
-        cand, first = cand[fresh], first[fresh]
-        if len(keys) + len(cand) > cap:
+        merged = np.concatenate([keys, _point_keys(ctx, lvl.line, imgs)])
+        by_key = merged.argsort(kind="stable")
+        merged = merged[by_key]
+        lead = _run_starts(merged)
+        merged, by_key = merged.compress(lead), by_key.compress(lead)
+        if len(merged) > cap:
             raise OverCapError(f"orbit exceeds cap {cap}")
-        keys = np.insert(keys, np.searchsorted(keys, cand), cand)
-        if cyclic:  # the insert takes key order; the tree takes power order
+        fresh = by_key >= len(keys)
+        cand, first = merged.compress(fresh), by_key.compress(fresh) - len(keys)
+        if cyclic:  # the keys take key order; the tree takes power order
             by_first = np.argsort(first)
             cand, first = cand[by_first], first[by_first]
         s, f = np.divmod(first, len(vecs))  # step element and source of each new point
-        new = imgs[first], mat_mul(ctx, steps[s], t[f]), mat_mul(ctx, t_inv[f], step_invs[s])
+        src = len(keys) - len(vecs) + f  # the sources are the last len(vecs) points found
         found.append(cand)
-        ts.append(new[1].astype(compact))
-        t_invs.append(new[2].astype(compact))
+        record.append((steps, step_invs, s, src))
         # each new point's parent, as an index in found order: breadth-first
-        # its source, one of the last len(vecs) points found; by cyclic
-        # doubling the point found before it, g^(n+f-1) p before g^(n+f) p
-        back = 1 if cyclic else len(vecs)
-        parents.append(len(keys) - len(cand) - back + f)
+        # its source; by cyclic doubling the point found before it,
+        # g^(n+f-1) p before g^(n+f) p
+        parents.append(len(keys) - 1 + f if cyclic else src)
         edges.append(s + len(gens) - len(steps))  # the first step's are the new generators
+        keys, new = merged, imgs[first]
         if not cyclic:
-            vecs, t, t_inv = new
-            steps, step_invs = gens, invs
+            vecs, steps, step_invs = new, gens, invs
             continue
         if len(cand) < len(vecs):  # p has come round
             break
-        vecs, t, t_inv = (np.concatenate(pair) for pair in zip((vecs, t, t_inv), new))
+        vecs = np.concatenate([vecs, new])
         steps, step_invs = mat_mul(ctx, steps, steps), mat_mul(ctx, step_invs, step_invs)
     order = np.argsort(np.concatenate(found))
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    lvl.keys = keys
-    lvl.t = np.concatenate(ts)[order].astype(np.int64)
-    lvl.t_inv = np.concatenate(t_invs)[order].astype(np.int64)
+    t = np.empty((len(keys), 4, 4), dtype=np.int64)
+    t_inv = np.empty_like(t)
+    done = len(found[0])
+    t[rank[:done]], t_inv[rank[:done]] = lvl.t, lvl.t_inv
+    for steps, step_invs, s, src in record:
+        new, at = rank[done : done + len(s)], rank[src]
+        t[new] = mat_mul(ctx, steps[s], t[at])
+        t_inv[new] = mat_mul(ctx, t_inv[at], step_invs[s])
+        done += len(s)
+    lvl.keys, lvl.t, lvl.t_inv = keys, t, t_inv
     lvl.edge = np.concatenate(edges)[order]
     lvl.parent = np.where(lvl.edge >= 0, rank[np.concatenate(parents)[order]], -1)
     lvl.built = len(gens)
@@ -686,17 +722,20 @@ def _sift(ctx: FieldCtx, chain: list[_Level], start: int, mats: np.ndarray) -> n
     """The residues of a stack of matrices sifted through chain[start:]. A
     residue fixes the base points of the levels it entered, and moves that of
     the level whose orbit it left. A level of one point tests the point
-    alone: its transversal is the identity."""
+    alone: its transversal is the identity. The matrices that stay are
+    gathered by index, and only when some leave."""
     work = np.asarray(mats, dtype=np.int64)
     res = np.empty_like(work)
     live = np.arange(len(work))
     for lvl in chain[start:]:
         pos = _find(lvl.keys, lvl.image_keys(ctx, work))
-        out = pos < 0
-        res[live[out]] = work[out]
-        live, work = live[~out], work[~out]
+        kept = np.flatnonzero(pos >= 0)
+        if len(kept) < len(work):
+            gone = np.flatnonzero(pos < 0)
+            res[live.take(gone)] = work.take(gone, axis=0)
+            live, work, pos = live.take(kept), work.take(kept, axis=0), pos.take(kept)
         if len(lvl.keys) > 1:
-            work = mat_mul(ctx, lvl.t_inv[pos[~out]], work)
+            work = mat_mul(ctx, lvl.t_inv[pos], work)
     res[live] = work
     return res
 
@@ -710,19 +749,22 @@ def _schreier_generators(ctx: FieldCtx, lvl: _Level, paired: np.ndarray | int = 
     identity sifts to the identity (Seress, *Permutation Group Algorithms*,
     CUP 2003, 4.1): a tree edge (g, parent of y), where t(y) = g t(parent),
     and (g, y) where g is the inverse of the generator on y's edge, which
-    maps y to its parent."""
+    maps y to its parent. One mask over every (generator, point) pair marks
+    those to skip, and the products g t(x) of the rest are formed BATCH
+    pairs at a time, whichever generators they take."""
+    gens, n = np.stack(lvl.gens), len(lvl.t)
     child = lvl.edge >= 0
+    skip = np.arange(len(gens))[:, None] < np.broadcast_to(paired, n)  # formed before
+    skip[lvl.edge[child], lvl.parent[child]] = True  # tree edges
+    undoes = (gens[:, None] == np.stack(lvl.gen_invs)[None]).all(axis=(2, 3))  # g_j = g_s^-1
+    skip |= undoes[:, lvl.edge] & child  # reverse edges
+    pairs = np.flatnonzero(~skip)  # j n + x for generator j and point x
     keys = [_keys(ctx, identity()[:0])]
-    for j, g in enumerate(lvl.gens):
-        skip = np.zeros(len(lvl.t), dtype=bool) | (paired > j)  # formed before
-        skip[lvl.parent[lvl.edge == j]] = True
-        undo = [s for s, inv in enumerate(lvl.gen_invs) if np.array_equal(g, inv)]
-        skip[child & np.isin(lvl.edge, undo)] = True
-        sources = np.flatnonzero(~skip)
-        for i in range(0, len(sources), BATCH):
-            prods = mat_mul(ctx, g, lvl.t[sources[i : i + BATCH]])
-            pos = _find(lvl.keys, lvl.image_keys(ctx, prods))
-            keys.append(_keys(ctx, mat_mul(ctx, lvl.t_inv[pos], prods)))
+    for i in range(0, len(pairs), BATCH):
+        j, x = np.divmod(pairs[i : i + BATCH], n)
+        prods = mat_mul(ctx, gens[j], lvl.t[x])
+        pos = _find(lvl.keys, lvl.image_keys(ctx, prods))
+        keys.append(_keys(ctx, mat_mul(ctx, lvl.t_inv[pos], prods)))
     return sorted_unique(np.concatenate(keys))
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import gc
 import hashlib
 import itertools
 import math
@@ -16,7 +18,7 @@ from starcox import matgroup
 from starcox.builder import StarParams, kept, reduced_generators
 from starcox.cgroup import _CHECKS
 from starcox.classify import classify_rank4, subgroup_backend
-from starcox.field import build_field
+from starcox.field import FieldCtx, build_field
 from starcox.matgroup import (
     OverCapError,
     SingularMatrixError,
@@ -908,6 +910,65 @@ def test_largest_fields_reach_the_cap_at_once():
             bsgs_group(ctx, gens, cap=5000)
 
 
+# both degrees: q = 4, 9, 49 and 169 are squares of primes
+INVERSE_QS = [4, 5, 9, 11, 19, 49, 61, 169]
+
+
+@pytest.mark.parametrize("q", INVERSE_QS)
+def test_inverse_table_inverts_every_code(q):
+    ctx = ctx_of(*PRIMES[q])
+    _lines(ctx, identity())
+    table = ctx.tables["inverses"]
+    assert table.shape == (q,) and table[0] == 0
+    assert (ctx.mul(np.arange(1, q), table[1:]) == 1).all()
+
+
+def lines_reference(ctx, vecs):
+    """``_lines`` by one ``pow_`` of the leading entries, the table's own rule."""
+    lead = np.take_along_axis(vecs, np.argmax(vecs != 0, axis=-1)[..., None], axis=-1)
+    return ctx.mul(vecs, ctx.pow_(lead, ctx.q - 2))
+
+
+@pytest.mark.parametrize("prime", [PRIMES[q] for q in INVERSE_QS] + [(32759, 18), (32717, 0)],
+                         ids=[f"q{q}" for q in INVERSE_QS] + ["q-largest-1", "q-largest-2"])
+def test_lines_match_pow_reference(prime):
+    # the two largest fields of the cap test lie above 65,535, where vector
+    # keys are void and no table is built
+    ctx = ctx_of(*prime)
+    vecs = RNG.integers(0, ctx.q, size=(200, 4), dtype=np.int64)
+    vecs[:60, :2] = 0  # leading zeros
+    vecs[60:70] = 0  # zero vectors stay zero
+    for v in (vecs, vecs[:, 1:], vecs[:40].reshape(5, 8, 4), vecs[0], vecs[65]):
+        got = _lines(ctx, v)
+        assert got.shape == v.shape and np.array_equal(got, lines_reference(ctx, v))
+    assert ("inverses" in ctx.tables) == (ctx.q <= 0xFFFF)
+
+
+def test_inverse_table_is_built_once_per_field(monkeypatch):
+    # one pow_ over all q codes per field, kept in that field's tables alone,
+    # which take no part in equality
+    calls = []
+    pow_ = FieldCtx.pow_
+
+    def counted(self, u, e):
+        calls.append(np.shape(u))
+        return pow_(self, u, e)
+
+    monkeypatch.setattr(FieldCtx, "pow_", counted)
+    ctx, fresh = ctx_of(*PRIMES[61]), ctx_of(*PRIMES[61])
+    for _ in range(3):
+        _lines(ctx, RNG.integers(0, 61, size=(20, 4), dtype=np.int64))
+    assert calls == [(61,)]
+    assert list(ctx.tables) == ["inverses"] and not fresh.tables
+    assert ctx == fresh and hash(ctx) == hash(fresh) and repr(ctx) == repr(fresh)
+    table = ctx.tables["inverses"]
+    assert all(r is ctx.tables for r in gc.get_referrers(table) if isinstance(r, dict))
+    _lines(fresh, identity())
+    assert calls == [(61,), (61,)]
+    assert fresh.tables["inverses"] is not table
+    assert np.array_equal(fresh.tables["inverses"], table)
+
+
 # rank-3 and smaller subsets at q = 4, 5, 9, 11, 19, 29, 31 (chains on basis
 # vectors), and the whole group at q = 5, which for k = 3, 4, 6 preserves
 # a single form (a chain on isotropic lines)
@@ -1138,11 +1199,12 @@ def record_extensions(monkeypatch):
     keeps the points, transversal and tree it held, and leaves a Schreier
     tree. Return a list of the levels extended, one entry per extension,
     and a map from each level to the products g t(x) its Schreier
-    generators were formed from, as (g, keys of the points x); ``pair_ids``
-    reads them once the levels are final."""
+    generators were formed from, as (keys of the g, keys of the points x),
+    a row for each pair of a batch; ``pair_ids`` reads them once the levels
+    are final."""
     formed, extended = {}, []
     build, schreier, mul = matgroup._build_orbit, matgroup._schreier_generators, matgroup.mat_mul
-    current = []
+    current, last = [], [None]  # last: the product g t(x) of the batch
 
     def checked_build(ctx, lvl, cap):
         held = None
@@ -1170,11 +1232,17 @@ def record_extensions(monkeypatch):
             return schreier(ctx, lvl, *paired)
         finally:
             current.pop()
+            last[0] = None
 
     def recorded_mul(ctx, a, b):
-        if current and a.ndim == 2:  # g times the transversal of some points
-            formed.setdefault(current[-1], []).append((a, current[-1].image_keys(ctx, b)))
-        return mul(ctx, a, b)
+        out = mul(ctx, a, b)
+        # a batch forms g t(x) for a stack of pairs, then maps the base
+        # point by it (a matrix-vector product) and multiplies it by
+        # t(g x)^-1; the last takes the first's product as its right factor
+        if current and b.shape[-1] == 4 and b is not last[0]:
+            formed.setdefault(current[-1], []).append((_keys(ctx, a), current[-1].image_keys(ctx, b)))
+            last[0] = out
+        return out
 
     monkeypatch.setattr(matgroup, "_build_orbit", checked_build)
     monkeypatch.setattr(matgroup, "_schreier_generators", tracked_schreier)
@@ -1185,11 +1253,14 @@ def record_extensions(monkeypatch):
 def pair_ids(ctx, lvl, formed):
     n = len(lvl.keys)
     ids = []
-    for g, point_keys in formed:
-        (j,) = [j for j, h in enumerate(lvl.gens) if np.array_equal(g, h)]
+    gen_keys = _keys(ctx, np.stack(lvl.gens))
+    by_key = np.argsort(gen_keys)
+    assert len(sorted_unique(gen_keys)) == len(gen_keys)
+    for row_gens, point_keys in formed:
+        j = _find(gen_keys[by_key], row_gens)  # each row's generator, by key
         pos = _find(lvl.keys, point_keys)
-        assert (pos >= 0).all()
-        ids.append(j * n + pos)
+        assert (j >= 0).all() and (pos >= 0).all()
+        ids.append(by_key[j] * n + pos)
     return np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64)
 
 
@@ -1304,6 +1375,91 @@ def test_cycle_is_extended_by_a_second_generator(monkeypatch):
             matgroup._build_orbit(ctx, lvl, cap=len(held) - 1)
         assert lvl.built == 2 and lvl.keys is held
     assert len(extended) == 2
+
+
+def reference_build(ctx, lvl, cap):
+    """``_build_orbit`` as it was while each step took ``np.unique`` of the
+    images' keys, ``_find`` for the fresh ones and ``np.insert`` into the
+    held keys, and formed the transversal of the new points at once, in the
+    compact dtype, ordered by key at the end."""
+    compact = matgroup._compact_dtype(ctx)
+    gens, invs = np.stack(lvl.gens), np.stack(lvl.gen_invs)
+    old = lvl.built
+    if not old:
+        lvl.keys = lvl.image_keys(ctx, identity()[None])
+        lvl.t = lvl.t_inv = identity()[None]
+        lvl.parent = lvl.edge = np.full(1, -1)
+    cyclic = not old and len(gens) == 1
+    keys, t, t_inv = lvl.keys, lvl.t, lvl.t_inv
+    vecs = keys.view(compact).reshape(-1, 4).astype(np.int64)
+    steps, step_invs = gens[old:], invs[old:]
+    found, ts, t_invs, parents, edges = [keys], [t], [t_inv], [lvl.parent], [lvl.edge]
+    while len(vecs):
+        imgs = mat_vec(ctx, steps[:, None], vecs[None]).reshape(-1, 4)
+        cand, first = np.unique(_point_keys(ctx, lvl.line, imgs), return_index=True)
+        fresh = _find(keys, cand) < 0
+        cand, first = cand[fresh], first[fresh]
+        if len(keys) + len(cand) > cap:
+            raise OverCapError(f"orbit exceeds cap {cap}")
+        keys = np.insert(keys, np.searchsorted(keys, cand), cand)
+        if cyclic:  # the insert takes key order; the tree takes power order
+            by_first = np.argsort(first)
+            cand, first = cand[by_first], first[by_first]
+        s, f = np.divmod(first, len(vecs))  # step element and source of each new point
+        new = imgs[first], mat_mul(ctx, steps[s], t[f]), mat_mul(ctx, t_inv[f], step_invs[s])
+        found.append(cand)
+        ts.append(new[1].astype(compact))
+        t_invs.append(new[2].astype(compact))
+        # each new point's parent, as an index in found order: breadth-first
+        # its source, one of the last len(vecs) points found; by cyclic
+        # doubling the point found before it, g^(n+f-1) p before g^(n+f) p
+        back = 1 if cyclic else len(vecs)
+        parents.append(len(keys) - len(cand) - back + f)
+        edges.append(s + len(gens) - len(steps))  # the first step's are the new generators
+        if not cyclic:
+            vecs, t, t_inv = new
+            steps, step_invs = gens, invs
+            continue
+        if len(cand) < len(vecs):  # p has come round
+            break
+        vecs, t, t_inv = (np.concatenate(pair) for pair in zip((vecs, t, t_inv), new))
+        steps, step_invs = mat_mul(ctx, steps, steps), mat_mul(ctx, step_invs, step_invs)
+    order = np.argsort(np.concatenate(found))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    lvl.keys = keys
+    lvl.t = np.concatenate(ts)[order].astype(np.int64)
+    lvl.t_inv = np.concatenate(t_invs)[order].astype(np.int64)
+    lvl.edge = np.concatenate(edges)[order]
+    lvl.parent = np.where(lvl.edge >= 0, rank[np.concatenate(parents)[order]], -1)
+    lvl.built = len(gens)
+    return np.where(order < len(found[0]), old, 0)
+
+
+@pytest.mark.parametrize("name", TREE_CHAINS)
+def test_orbit_builds_match_reference_build(name, monkeypatch):
+    # every build of the chain, first or extension, on a deep copy of the
+    # level through the reference: the same keys, transversal, tree, built
+    # count and pairing, byte for byte, for breadth-first steps, cyclic
+    # doubling and in-place extensions alike
+    k, q, omit = TREE_CHAINS[name]
+    ctx, gens = gens_of(k, *PRIMES[q])
+    build, kinds = matgroup._build_orbit, set()
+
+    def checked_build(ctx, lvl, cap):
+        kinds.add("extension" if lvl.built else "cyclic" if len(lvl.gens) == 1 else "breadth-first")
+        ref = copy.deepcopy(lvl)
+        want = reference_build(ctx, ref, cap)
+        got = build(ctx, lvl, cap)
+        for a, b in [(got, want)] + [(getattr(lvl, f), getattr(ref, f))
+                                     for f in ("keys", "t", "t_inv", "parent", "edge")]:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert lvl.built == ref.built
+        return got
+
+    monkeypatch.setattr(matgroup, "_build_orbit", checked_build)
+    bsgs_group(ctx, gens[kept(omit)])
+    assert kinds == {"breadth-first", "cyclic", "extension"}
 
 
 def reference_sift(ctx, chain, start, mats):
