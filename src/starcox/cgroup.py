@@ -14,7 +14,6 @@ from .field import FieldCtx
 from .matgroup import (
     DEFAULT_CAP,
     OverCapError,
-    _row_reduce,
     bsgs_group,
     enumerate_group,
     identity,
@@ -87,27 +86,31 @@ def _generator_gate(ctx: FieldCtx, gens: np.ndarray):
 
 def _torus_certifies_g0(ctx: FieldCtx, gens: np.ndarray) -> bool:
     """Whether the k = 6 torus words x = r1r3r1r3r1r2 and w = x^-1 r3r1r3r2r1r2,
-    both in G0 = <r1, r2, r3>, certify |G0| >= s^2, s = ctx.char, a prime.
+    both in G0 = <r1, r2, r3>, certify |G0| >= 12 s^2, s = ctx.char, a prime.
 
-    x^s = I with x != I gives ord(x) = s. With N = x - I and N^3 = 0, every
-    power of x is I + aN + C(a, 2) N^2, so w - I outside span(N, N^2) puts
-    w outside <x>; with w^s = I, w has order s and <w> meets <x> in I alone.
-    x and w commute, so |<x, w>| = s^2. Every one of these facts is checked
+    x^s = I with x != I gives ord(x) = s. Every power of x fixes e4 and w
+    moves it (x e4 = e4 and w e4 = (0, 6, 3, 4) by ``classify._x_power``
+    and ``_w_power``), so w lies outside <x>; with w^s = I, w has order s
+    and <w> meets <x> in I alone. x and w commute, so T = <x, w> has s^2
+    elements. r1 and r3 are involutions (``_generator_gate``) whose product
+    has order 6, so D = <r1, r3> is dihedral of order 12. At s >= 5 the
+    orders of T and D are coprime, so T meets D in I alone and the product
+    set T D in G0 has 12 s^2 elements. Every one of these facts is checked
     here, each power by square-and-multiply (``mat_pow``), and any that
     fails makes the answer False."""
+    if ctx.char < 5:
+        return False
     ident = identity()
     x, y = torus_words(ctx, gens)
     w = mat_mul(ctx, mat_inv(ctx, x), y)
-    n = ctx.sub(x, ident)
-    n2 = mat_mul(ctx, n, n)
-    span = np.stack([n, n2]).reshape(2, 16)
-    with_w = np.concatenate([span, ctx.sub(w, ident).reshape(1, 16)])
+    r1r3 = mat_mul(ctx, gens[1], gens[3])
     return (
         not is_identity(x)
         and bool((mat_pow(ctx, np.stack([x, w]), ctx.char) == ident).all())
-        and not mat_mul(ctx, n2, n).any()
         and np.array_equal(mat_mul(ctx, x, w), mat_mul(ctx, w, x))
-        and len(_row_reduce(ctx, with_w, 16)[1]) > len(_row_reduce(ctx, span, 16)[1])
+        and np.array_equal(x[:, 3], ident[:, 3])
+        and not np.array_equal(w[:, 3], ident[:, 3])
+        and [is_identity(mat_pow(ctx, r1r3, n)) for n in (2, 3, 6)] == [False, False, True]
     )
 
 
@@ -121,11 +124,10 @@ def verify_cgroup(
     order passes min(ENUMERATE_LIMIT, cap), and the rest, of order at most
     160, are enumerated. The full group is never touched. G0 and G2 are
     compared with their predicted orders (OrderMismatchError), except when
-    generators replaces the reduced stack for negative controls. G0 is held
-    to the cap by its order, as its closure is, before G2 is built; at
-    k = 6, where s^2 passes the cap (s the characteristic), G0 is not built
-    at all once its torus words certify |G0| >= s^2
-    (``_torus_certifies_g0``). G_(I|J)
+    generators replaces the reduced stack for negative controls. At k = 6,
+    where 12 s^2 passes the cap (s the characteristic), the run stops before
+    any subgroup is built once the torus words certify |G0| >= 12 s^2
+    (``_torus_certifies_g0``); otherwise G0 is built as below. G_(I|J)
     lies in G_I & G_J by construction, so each check compares |G_I & G_J|
     with |G_(I|J)|; an intersection lists its smaller side in batches
     (``GroupHandle.intersect``). For G0 & G2, G0 is a listed chain, and only
@@ -141,15 +143,13 @@ def verify_cgroup(
     if bad is not None:
         return IntersectionReport((False,) * 3, (False,) * 3, bad, note, {})
 
+    if params.k == 6 and 12 * ctx.char**2 > cap and _torus_certifies_g0(ctx, gens):
+        raise OverCapError(f"closure exceeds cap {cap}")
     groups = {}
     for omit in _SUBGROUPS:
-        if omit == "0" and params.k == 6 and ctx.char**2 > cap and _torus_certifies_g0(ctx, gens):
-            raise OverCapError(f"closure exceeds cap {cap}")
         chain, want = subgroup_backend(params, omit, cap)
         group = (bsgs_group if chain else enumerate_group)(ctx, gens[kept(omit)], cap=cap)
         groups[omit] = confirm_order(group, want if generators is None else None, _name(omit))
-        if omit == "0" and groups[omit].order > cap:
-            raise OverCapError(f"closure exceeds cap {cap}")
     checks, witness = [], None
     for i, j in _CHECKS:
         u = _union(i, j)

@@ -19,7 +19,7 @@ from starcox.cgroup import (
     verify_cgroup,
 )
 from starcox.matgroup import (
-    _row_reduce,
+    OverCapError,
     element_order,
     enumerate_group,
     identity,
@@ -223,57 +223,81 @@ def test_backend_rule_builds_chains_past_the_limit(monkeypatch, k, p, chains):
 
 
 # ---------------------------------------------------------------------------
-# the torus certificate |G0| >= s^2 at k = 6
+# the torus certificate |G0| >= 12 s^2 at k = 6
 
 
-@pytest.mark.parametrize("prime", ["2", "3", "-4-1t", "7", "-7-2t", "13", "-13-3t", "32005+1t"])
-def test_torus_words_certify_g0(prime):
-    # q = 4, 9, 19, 49, 59, 169, 199 and 1,024,352,029
-    ctx, gens, _ = reduced_generators(params(6, classify_prime(parse_golden(prime))))
-    assert _torus_certifies_g0(ctx, gens)
+@pytest.mark.parametrize(
+    "prime", ["2", "-2-1t", "3", "-4-1t", "7", "-7-2t", "13", "-13-3t", "8+37t", "1000+1t",
+              "32005+1t"])
+def test_torus_words_certify_g0(monkeypatch, prime):
+    # q = 4, 5, 9, 19, 49, 59, 169, 199, 1009, 1,000,999 and 1,024,352,029:
+    # certified exactly where s >= 5. At q = 4 and 9 the refused certificate
+    # leaves the row to the build, which passes cap 12 s^2 - 1 (47 and 107)
+    # with G2 (60 elements) and G0 (108), and answers at the default cap
+    p = classify_prime(parse_golden(prime))
+    ctx, gens, _ = reduced_generators(params(6, p))
+    assert _torus_certifies_g0(ctx, gens) == (p.char >= 5)
+    if p.char >= 5:
+        return
+    asked = []
+
+    def recorded(ctx, gens):
+        asked.append(_torus_certifies_g0(ctx, gens))
+        return asked[-1]
+
+    monkeypatch.setattr(cgroup, "_torus_certifies_g0", recorded)
+    with pytest.raises(OverCapError):
+        verify_cgroup(params(6, p), cap=12 * p.char**2 - 1)
+    assert asked == [False]
+    assert verify_cgroup(params(6, p)).is_cgroup
 
 
-def torus_facts(ctx, x, w):
-    """The five facts the certificate rests on, each checked on its own."""
+def torus_facts(ctx, gens, x, w):
+    """The facts the certificate rests on, each checked on its own."""
     ident = identity()
-    n = ctx.sub(x, ident)
-    rank = [len(_row_reduce(ctx, np.stack(m).reshape(len(m), 16), 16)[1])
-            for m in ([n, mat_mul(ctx, n, n)], [n, mat_mul(ctx, n, n), ctx.sub(w, ident)])]
+    e4 = ident[3]
     return {
+        "s >= 5": ctx.char >= 5,
         "x is not I": not np.array_equal(x, ident),
         "x^s = w^s = I": all(np.array_equal(mat_pow(ctx, m, ctx.char), ident) for m in (x, w)),
-        "(x - I)^3 = 0": not mat_pow(ctx, n, 3).any(),
         "x w = w x": np.array_equal(mat_mul(ctx, x, w), mat_mul(ctx, w, x)),
-        "w - I outside span(N, N^2)": rank[1] > rank[0],
+        "x fixes e4": np.array_equal(mat_vec(ctx, x, e4), e4),
+        "w moves e4": not np.array_equal(mat_vec(ctx, w, e4), e4),
+        "r1 r3 has order 6": element_order(ctx, mat_mul(ctx, gens[1], gens[3])) == 6,
     }
 
 
 def test_torus_certificate_refuses_each_failed_step(monkeypatch):
-    # each pair (x, w) breaks one fact alone, and the certificate is refused:
-    # the bound it would give is false for every one of them but the last
-    # (a w that does not commute with x could still lie in a large group,
-    # but the certificate does not know it)
-    p = params(6, P59)
-    ctx, gens, _ = reduced_generators(p)
+    # each case breaks one fact alone, and the certificate is refused,
+    # whatever the true order of G0
+    ctx, gens, _ = reduced_generators(params(6, P59))
     x, y = torus_words(ctx, gens)
     w = mat_mul(ctx, mat_inv(ctx, x), y)
     ident = identity()
-    jordan = ident.copy()
-    jordan[[0, 1, 2], [1, 2, 3]] = 1  # one unipotent Jordan block: order s, (x - I)^3 != 0
+    r3r1r3 = mat_mul(ctx, mat_mul(ctx, gens[3], gens[1]), gens[3])
+    ctx9, gens9, _ = reduced_generators(params(6, P3))
+    unipotent = []
+    for i, j in ((0, 1), (0, 3)):  # I + E01 fixes e4, I + E03 moves it; both of order 3
+        u = ident.copy()
+        u[i, j] = 1
+        unipotent.append(u)
     cases = {
-        "x is not I": (ident, w),
-        "x^s = w^s = I": (x, ctx.neg(w)),  # -w has order 2s
-        "(x - I)^3 = 0": (jordan, mat_pow(ctx, jordan, 3)),  # w in <x>
-        "x w = w x": (x, x.T),
-        "w - I outside span(N, N^2)": (x, mat_pow(ctx, x, 2)),  # w in <x>
+        "s >= 5": (ctx9, gens9, *unipotent),  # q = 9
+        "x is not I": (ctx, gens, ident, w),
+        "x^s = w^s = I": (ctx, gens, x, ctx.neg(w)),  # -w has order 2s
+        "x w = w x": (ctx, gens, x, x.T),
+        "x fixes e4": (ctx, gens, w, mat_mul(ctx, x, w)),  # <w, x w> = <x, w>
+        "w moves e4": (ctx, gens, x, mat_pow(ctx, x, 2)),  # w = x^2 in <x>
+        # r3 -> r3 r1 r3 makes r1 r3 -> (r1 r3)^2, of order 3
+        "r1 r3 has order 6": (ctx, np.stack([gens[0], gens[1], gens[2], r3r1r3]), x, w),
     }
-    assert all(torus_facts(ctx, x, w).values())
-    for broken, (bx, bw) in cases.items():
-        facts = torus_facts(ctx, bx, bw)
+    assert all(torus_facts(ctx, gens, x, w).values())
+    for broken, (bctx, bgens, bx, bw) in cases.items():
+        facts = torus_facts(bctx, bgens, bx, bw)
         assert [f for f, ok in facts.items() if not ok] == [broken]
-        words = (bx, mat_mul(ctx, bx, bw))  # y = x w
+        words = (bx, mat_mul(bctx, bx, bw))  # y = x w
         monkeypatch.setattr(cgroup, "torus_words", lambda ctx, g, words=words: words)
-        assert not _torus_certifies_g0(ctx, gens)
+        assert not _torus_certifies_g0(bctx, bgens)
 
 
 def wrong_rank3(monkeypatch):

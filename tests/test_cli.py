@@ -149,12 +149,12 @@ def test_chain_orbit_honors_cap(capsys):
     ids=["q59-g0-listed", "q59-before-g2-orbit", "q11-g2-listed"],
 )
 def test_g0_order_honors_cap(capsys, prime, cap):
-    # k = 6, G0 a stabilizer chain whose order passes the cap while its
-    # orbits fit it: 41,772 elements in orbits of at most 354 points at
-    # q = 59, 1,452 in orbits of at most 66 at q = 11. G0's order stops the
-    # run, as its closure did, with the closure's message: at cap 3500 before
-    # G2 is built, and at q = 11 although the smaller side of G0 & G2, which
-    # is listed, is G2 (1,320 elements)
+    # k = 6, G0 a stabilizer chain whose order, 12 s^2, passes the cap while
+    # its orbits fit it: 41,772 elements in orbits of at most 354 points at
+    # q = 59, 1,452 in orbits of at most 66 at q = 11. The torus certificate
+    # stops the run before G0, or any subgroup, is built, with the closure's
+    # message: at q = 59 at both caps, and at q = 11 although the smaller
+    # side of G0 & G2, which would be listed, is G2 (1,320 elements)
     rc, _, err = run(capsys, "verify", "--k", "6", "--prime", prime, "--cap", cap)
     assert rc == 4
     assert f"closure exceeds cap {cap}" in err
@@ -168,26 +168,35 @@ def verify_exit(capsys, k, prime, cap):
 def test_torus_certificate_moves_no_exit_code(capsys, monkeypatch, prime):
     # k = 6 at q = 19, 59, 169, 1009, 1,000,999 and 1,024,352,029, at caps
     # about 6s and s^2 (s the characteristic), and about 12 s^2 where a run
-    # stays small: verify exits 4 exactly below |G0| = 12 s^2. Where s^2
-    # passes the cap, the torus certificate stops the run before G0 is
-    # built, and with the certificate refused the build exits 4 all the same
+    # stays small: verify exits 4 exactly below |G0| = 12 s^2. There the
+    # torus certificate stops the run before any subgroup is built, and with
+    # the certificate refused the build exits 4 all the same
     s = starcox.classify_prime(starcox.parse_golden(prime)).char
     caps = {c + d for c in (6 * s, s * s, 12 * s * s) for d in (-1, 0)} | {1000, 50_000}
     for cap in sorted(c for c in caps if c <= 50_000 or s < 2_000):
         want = 4 if cap < 12 * s * s else 0
         assert verify_exit(capsys, 6, prime, cap) == want
-        if s * s > cap:
+        if 12 * s * s > cap:
             with monkeypatch.context() as mp:
                 mp.setattr(cgroup, "_torus_certifies_g0", lambda ctx, gens: False)
                 assert verify_exit(capsys, 6, prime, cap) == want
 
 
-@pytest.mark.parametrize("prime,cap", [("32005+1t", matgroup.DEFAULT_CAP), ("8+37t", 1009**2 - 1)])
+@pytest.mark.parametrize(
+    "prime,cap",
+    [
+        ("32005+1t", matgroup.DEFAULT_CAP),
+        ("8+37t", 1009**2 - 1),
+        ("8+37t", 12 * 1009**2 - 1),
+        ("8+37t", matgroup.DEFAULT_CAP),
+    ],
+)
 def test_torus_certificate_stops_before_any_orbit(capsys, monkeypatch, prime, cap):
     # q = 1,024,352,029 at the default cap, where G0's first orbit of 6s
-    # points is far past it, and q = 1009 at cap s^2 - 1, where G0's orbits
-    # (6,054 and 2,018 points) fit it: the certificate |G0| >= s^2 exits 4
-    # before any orbit is built, with the message of G0's order check
+    # points is far past it, and q = 1009 at caps s^2 - 1, 12 s^2 - 1 and
+    # the default, where G0's orbits (6,054 and 2,018 points) fit it, so that
+    # only its order passes it: the certificate |G0| >= 12 s^2 exits 4
+    # before any orbit is built
     def no_orbit(*args):
         raise AssertionError("an orbit was built")
 
@@ -195,6 +204,20 @@ def test_torus_certificate_stops_before_any_orbit(capsys, monkeypatch, prime, ca
     rc, _, err = run(capsys, "verify", "--k", "6", "--prime", prime, "--cap", str(cap))
     assert rc == 4
     assert f"closure exceeds cap {cap}" in err
+
+
+@pytest.mark.parametrize("cap", [23, 119])
+def test_cap_below_h3_exits_4_with_one_line(capsys, cap):
+    # every verify builds H3, of 120 elements, as G3 at odd q: below that
+    # every run exits 4 with one error line, whichever bound (an orbit, a
+    # closure, or G0's certified order) it names
+    for prime in ("3", "3+1t", "-7-2t"):  # q = 9, 11, 59
+        for k in (3, 4, 5, 6):
+            rc, out, err = run(capsys, "verify", "--k", str(k), "--prime", prime,
+                               "--cap", str(cap))
+            assert (rc, out) == (4, "")
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: ") and err.endswith(f" exceeds cap {cap}\n")
 
 
 def test_root_span_base_answers_below_the_vector_orbit(capsys):
