@@ -11,17 +11,7 @@ import numpy as np
 from .builder import StarParams, generator_word, kept, reduced_generators, torus_words
 from .classify import confirm_order, subgroup_backend
 from .field import FieldCtx
-from .matgroup import (
-    DEFAULT_CAP,
-    OverCapError,
-    bsgs_group,
-    enumerate_group,
-    identity,
-    is_identity,
-    mat_inv,
-    mat_mul,
-    mat_pow,
-)
+from .matgroup import DEFAULT_CAP, bsgs_group, enumerate_group, is_identity, mat_inv, mat_mul
 from .ring import PrimeClass
 
 
@@ -84,36 +74,6 @@ def _generator_gate(ctx: FieldCtx, gens: np.ndarray):
     return None, ""
 
 
-def _torus_certifies_g0(ctx: FieldCtx, gens: np.ndarray) -> bool:
-    """Whether the k = 6 torus words x = r1r3r1r3r1r2 and w = x^-1 r3r1r3r2r1r2,
-    both in G0 = <r1, r2, r3>, certify |G0| >= 12 s^2, s = ctx.char, a prime.
-
-    x^s = I with x != I gives ord(x) = s. Every power of x fixes e4 and w
-    moves it (x e4 = e4 and w e4 = (0, 6, 3, 4) by ``classify._x_power``
-    and ``_w_power``), so w lies outside <x>; with w^s = I, w has order s
-    and <w> meets <x> in I alone. x and w commute, so T = <x, w> has s^2
-    elements. r1 and r3 are involutions (``_generator_gate``) whose product
-    has order 6, so D = <r1, r3> is dihedral of order 12. At s >= 5 the
-    orders of T and D are coprime, so T meets D in I alone and the product
-    set T D in G0 has 12 s^2 elements. Every one of these facts is checked
-    here, each power by square-and-multiply (``mat_pow``), and any that
-    fails makes the answer False."""
-    if ctx.char < 5:
-        return False
-    ident = identity()
-    x, y = torus_words(ctx, gens)
-    w = mat_mul(ctx, mat_inv(ctx, x), y)
-    r1r3 = mat_mul(ctx, gens[1], gens[3])
-    return (
-        not is_identity(x)
-        and bool((mat_pow(ctx, np.stack([x, w]), ctx.char) == ident).all())
-        and np.array_equal(mat_mul(ctx, x, w), mat_mul(ctx, w, x))
-        and np.array_equal(x[:, 3], ident[:, 3])
-        and not np.array_equal(w[:, 3], ident[:, 3])
-        and [is_identity(mat_pow(ctx, r1r3, n)) for n in (2, 3, 6)] == [False, False, True]
-    )
-
-
 def verify_cgroup(
     params: StarParams, generators: np.ndarray | None = None, cap: int = DEFAULT_CAP
 ) -> IntersectionReport:
@@ -124,17 +84,15 @@ def verify_cgroup(
     order passes min(ENUMERATE_LIMIT, cap), and the rest, of order at most
     160, are enumerated. The full group is never touched. G0 and G2 are
     compared with their predicted orders (OrderMismatchError), except when
-    generators replaces the reduced stack for negative controls. At k = 6,
-    where 12 s^2 passes the cap (s the characteristic), the run stops before
-    any subgroup is built once the torus words certify |G0| >= 12 s^2
-    (``_torus_certifies_g0``); otherwise G0 is built as below. G_(I|J)
-    lies in G_I & G_J by construction, so each check compares |G_I & G_J|
-    with |G_(I|J)|; an intersection lists its smaller side in batches
-    (``GroupHandle.intersect``). For G0 & G2, G0 is a listed chain, and only
-    its elements that fix the vector fixed by r0, r1 and r3, as all of G2
-    does, are multiplied out and tested in G2. Membership in G_(I|J) runs
-    only when a check fails, to name the witness: the first element of the
-    intersection, in key order, outside G_(I|J).
+    generators replaces the reduced stack for negative controls. G0 comes
+    first, so where ``subgroup_backend`` refuses it past the cap, no
+    subgroup is built. G_(I|J) lies in G_I & G_J by construction, so each
+    check compares |G_I & G_J| with |G_(I|J)|; an intersection lists its
+    smaller side in batches (``GroupHandle.intersect``). Where G0 & G2 lists
+    a chain of G0, only its elements that fix the vector fixed by r0, r1 and
+    r3, as all of G2 does, are multiplied out and tested in G2. Membership
+    in G_(I|J) runs only when a check fails, to name the witness: the first
+    element of the intersection, in key order, outside G_(I|J).
     """
     ctx, gens, _ = reduced_generators(params)
     if generators is not None:
@@ -143,11 +101,9 @@ def verify_cgroup(
     if bad is not None:
         return IntersectionReport((False,) * 3, (False,) * 3, bad, note, {})
 
-    if params.k == 6 and 12 * ctx.char**2 > cap and _torus_certifies_g0(ctx, gens):
-        raise OverCapError(f"closure exceeds cap {cap}")
     groups = {}
     for omit in _SUBGROUPS:
-        chain, want = subgroup_backend(params, omit, cap)
+        chain, want = subgroup_backend(params, omit, cap, gens)
         group = (bsgs_group if chain else enumerate_group)(ctx, gens[kept(omit)], cap=cap)
         groups[omit] = confirm_order(group, want if generators is None else None, _name(omit))
     checks, witness = [], None

@@ -6,16 +6,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .builder import K_INF, StarParams, gram, reduced_generators, rho, torus_words
-from .matgroup import GroupHandle, mat_inv, mat_mul, mat_pow
+from .field import FieldCtx
+from .matgroup import GroupHandle, OverCapError, identity, is_identity, mat_inv, mat_mul, mat_pow
 from .ring import GoldenInt, GoldenPrime, PrimeClass, golden_legendre, rational_legendre
 
 
 # Subgroups predicted to have more elements are built as stabilizer chains.
-# Build times cross between 2,640 elements (k = 4 G2 at q = 11: closure 2.6 ms,
-# chain 5.6 ms) and 4,332 (k = 6 G0 at q = 19: 11.1 against 6.4 ms). The
-# benchmark's polytope rows build no chain, so it stays at least 1,620 (k = 6
-# G2 at 3).
+# Build times cross between 2,640 elements (k = 4 G2 at q = 11: closure 1.0 ms,
+# chain 5.1 ms) and 4,332 (k = 6 G0 at q = 19: 8.9 against 4.6 ms), best of 7
+# on 2 vCPU with numpy 2.4.6. The benchmark's polytope rows build no chain, so
+# it stays at least 1,620 (k = 6 G2 at 3).
 ENUMERATE_LIMIT = 4_000
 
 
@@ -154,20 +157,32 @@ def classify_rank3(i: int, params: StarParams) -> Classification:
     return _orthogonal(3, p.q, 0, _orthogonal_family(sigma, dlt), dlt)
 
 
-def subgroup_backend(params: StarParams, omit: str, cap: int) -> tuple[bool, int | None]:
-    """How to build the distinguished subgroup G_omit, which omits the
-    generators in omit (``builder.kept``): (as a stabilizer chain?, predicted
-    order or None).
+def subgroup_backend(
+    params: StarParams, omit: str, cap: int, gens: np.ndarray
+) -> tuple[bool, int | None]:
+    """How to build the distinguished subgroup G_omit of gens, which omits
+    the generators in omit (``builder.kept``): (as a stabilizer chain?,
+    predicted order or None).
 
     G0 and G2, the rank-3 subgroups across the k-edge r1-r3 and the only ones
     whose order grows with q, take ``classify_rank3``'s order, and are chains
     when it passes min(ENUMERATE_LIMIT, cap). Every other subgroup has at most
     120 elements, and every subgroup at most 160 where there is no prediction
     (the even prime, k = inf); those are enumerated.
+
+    This is also the one place that holds G0 to the cap by its order: at
+    k = 6, where G0 is the side of G0 & G2 that an intersection lists (12 s^2
+    no larger than G2's predicted order) and 12 s^2 passes the cap, a torus
+    certificate of |G0| >= 12 s^2 (``_torus_certifies_g0``) raises
+    OverCapError before anything is built. A refused certificate leaves G0
+    to be built, and listing it checks its order (``GroupHandle._batches``).
     """
     if omit not in ("0", "2") or params.k == K_INF or params.prime.klass is PrimeClass.EVEN:
         return False, None
     order = classify_rank3(int(omit), params).predicted_order
+    if omit == "0" and params.k == 6 and cap < order <= classify_rank3(2, params).predicted_order:
+        if _torus_certifies_g0(reduced_generators(params)[0], gens):
+            raise OverCapError(f"closure exceeds cap {cap}")
     return order > min(ENUMERATE_LIMIT, cap), order
 
 
@@ -266,8 +281,14 @@ def _w_power(s: int) -> list[list[int]]:
     ]
 
 
+def _torus_pair(ctx: FieldCtx, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The k=6 torus elements x = r1r3r1r3r1r2 and w = x^(-1) r3r1r3r2r1r2."""
+    x, y = torus_words(ctx, gens)
+    return x, mat_mul(ctx, mat_inv(ctx, x), y)
+
+
 def torus_power_check(p: GoldenPrime) -> TorusCheck:
-    """Verify the k=6 torus elements x = r1r3r1r3r1r2 and w = x^(-1) r3r1r3r2r1r2.
+    """Verify the k=6 torus elements x and w (``_torus_pair``).
 
     Their t-th powers must match the quadratic closed forms entrywise at
     t = 1..8 and t = s, the field characteristic, each power taken by
@@ -279,8 +300,7 @@ def torus_power_check(p: GoldenPrime) -> TorusCheck:
     if p.klass is PrimeClass.EVEN or p.char == 3:
         raise ValueError("torus check needs an odd prime not associate to 3")
     ctx, g, _ = reduced_generators(StarParams(6, p))
-    x, y = torus_words(ctx, g)
-    w = mat_mul(ctx, mat_inv(ctx, x), y)
+    x, w = _torus_pair(ctx, g)
     s = ctx.char
     checks = sorted({*range(1, min(s, 8) + 1), s})
     for tt in checks:
@@ -289,3 +309,33 @@ def torus_power_check(p: GoldenPrime) -> TorusCheck:
             if not (m == want).all():
                 raise AssertionError(f"torus closed form fails at power {tt}, p={p.value}")
     return TorusCheck(s, s, s, len(checks))
+
+
+def _torus_certifies_g0(ctx: FieldCtx, gens: np.ndarray) -> bool:
+    """Whether the k = 6 torus elements x and w (``_torus_pair``), both in
+    G0 = <r1, r2, r3>, certify |G0| >= 12 s^2, s = ctx.char, a prime.
+
+    x^s = I with x != I gives ord(x) = s. Every power of x fixes e4 and w
+    moves it (x e4 = e4 and w e4 = (0, 6, 3, 4) by ``_x_power`` and
+    ``_w_power``), so w lies outside <x>; with w^s = I, w has order s and
+    <w> meets <x> in I alone. x and w commute, so T = <x, w> has s^2
+    elements. r1 and r3 are involutions whose product has order 6, so
+    D = <r1, r3> is dihedral of order 12. At s >= 5 the orders of T and D
+    are coprime, so T meets D in I alone and the product set T D in G0 has
+    12 s^2 elements. Every one of these facts is checked here, each power
+    by square-and-multiply (``mat_pow``), and any that fails makes the
+    answer False."""
+    if ctx.char < 5:
+        return False
+    ident = identity()
+    x, w = _torus_pair(ctx, gens)
+    r1r3 = mat_mul(ctx, gens[1], gens[3])
+    return (
+        not is_identity(x)
+        and bool((mat_pow(ctx, np.stack([x, w]), ctx.char) == ident).all())
+        and bool((mat_mul(ctx, gens[[1, 3]], gens[[1, 3]]) == ident).all())
+        and np.array_equal(mat_mul(ctx, x, w), mat_mul(ctx, w, x))
+        and np.array_equal(x[:, 3], ident[:, 3])
+        and not np.array_equal(w[:, 3], ident[:, 3])
+        and [is_identity(mat_pow(ctx, r1r3, n)) for n in (2, 3, 6)] == [False, False, True]
+    )

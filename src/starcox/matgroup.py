@@ -779,7 +779,8 @@ def _add_generator(
     to every level from start up to the first whose base point m moves, and
     return that level. Where m fixes every base point from start on, the
     chain runs on: its base is a prefix of the candidates, so the next
-    candidates join it in order, up to the first one that m moves."""
+    candidates join it in order, up to the first one that m moves. An
+    involution is its own inverse, and no inverse is formed for it."""
     last = start
     while True:
         if last == len(chain):
@@ -788,7 +789,7 @@ def _add_generator(
         if here != there:
             break
         last += 1
-    minv = mat_inv(ctx, m)
+    minv = m if is_identity(mat_mul(ctx, m, m)) else mat_inv(ctx, m)
     for lvl in chain[start : last + 1]:
         lvl.gens.append(m)
         lvl.gen_invs.append(minv)

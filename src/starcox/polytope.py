@@ -82,14 +82,15 @@ def _stabilizers(
 ) -> dict[str, GroupHandle]:
     """The face stabilizers of one ringing by face name: those named, else
     all of them in the order of _FACES. Each is a closure or a stabilizer
-    chain by ``classify.subgroup_backend`` and is compared with its
-    predicted order, where there is one."""
+    chain by ``classify.subgroup_backend``, decided for every face before
+    any is built, so a refusal past the cap comes first, and is compared
+    with its predicted order, where there is one."""
     if ringed_node not in _FACES:
         raise ValueError("supported ringed nodes are 0 and 2")
     ctx, gens, _ = reduced_generators(params)
     faces, groups = _FACES[ringed_node], {}
-    for f in names or faces:
-        chain, want = subgroup_backend(params, faces[f], cap)
+    backends = {f: subgroup_backend(params, faces[f], cap, gens) for f in names or faces}
+    for f, (chain, want) in backends.items():
         group = (bsgs_group if chain else enumerate_group)(ctx, gens[kept(faces[f])], cap=cap)
         groups[f] = confirm_order(group, want, f"{f} stabilizer")
     return groups

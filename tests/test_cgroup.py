@@ -9,10 +9,9 @@ import pytest
 
 from starcox.builder import K_INF, StarParams, kept, reduced_generators, torus_words
 from starcox import cgroup, classify
-from starcox.classify import OrderMismatchError, classify_rank3
+from starcox.classify import OrderMismatchError, _torus_certifies_g0, classify_rank3
 from starcox.cgroup import (
     _CHECKS,
-    _torus_certifies_g0,
     _union,
     lemma41_check,
     replacement_generator,
@@ -23,6 +22,7 @@ from starcox.matgroup import (
     element_order,
     enumerate_group,
     identity,
+    is_identity,
     mat_inv,
     mat_mul,
     mat_pow,
@@ -231,9 +231,11 @@ def test_backend_rule_builds_chains_past_the_limit(monkeypatch, k, p, chains):
               "32005+1t"])
 def test_torus_words_certify_g0(monkeypatch, prime):
     # q = 4, 5, 9, 19, 49, 59, 169, 199, 1009, 1,000,999 and 1,024,352,029:
-    # certified exactly where s >= 5. At q = 4 and 9 the refused certificate
-    # leaves the row to the build, which passes cap 12 s^2 - 1 (47 and 107)
-    # with G2 (60 elements) and G0 (108), and answers at the default cap
+    # certified exactly where s >= 5. At q = 4 and 9 the build passes cap
+    # 12 s^2 - 1 (47 and 107) with G2 (60 elements) and G0 (108), and
+    # answers at the default cap. At q = 9 the certificate is asked and
+    # refused; at q = 4, the even prime, no order is predicted, so it is
+    # not asked
     p = classify_prime(parse_golden(prime))
     ctx, gens, _ = reduced_generators(params(6, p))
     assert _torus_certifies_g0(ctx, gens) == (p.char >= 5)
@@ -245,10 +247,10 @@ def test_torus_words_certify_g0(monkeypatch, prime):
         asked.append(_torus_certifies_g0(ctx, gens))
         return asked[-1]
 
-    monkeypatch.setattr(cgroup, "_torus_certifies_g0", recorded)
+    monkeypatch.setattr(classify, "_torus_certifies_g0", recorded)
     with pytest.raises(OverCapError):
         verify_cgroup(params(6, p), cap=12 * p.char**2 - 1)
-    assert asked == [False]
+    assert asked == ([] if p.klass is PrimeClass.EVEN else [False])
     assert verify_cgroup(params(6, p)).is_cgroup
 
 
@@ -263,6 +265,7 @@ def torus_facts(ctx, gens, x, w):
         "x w = w x": np.array_equal(mat_mul(ctx, x, w), mat_mul(ctx, w, x)),
         "x fixes e4": np.array_equal(mat_vec(ctx, x, e4), e4),
         "w moves e4": not np.array_equal(mat_vec(ctx, w, e4), e4),
+        "r1^2 = r3^2 = I": all(is_identity(mat_mul(ctx, g, g)) for g in gens[[1, 3]]),
         "r1 r3 has order 6": element_order(ctx, mat_mul(ctx, gens[1], gens[3])) == 6,
     }
 
@@ -276,6 +279,13 @@ def test_torus_certificate_refuses_each_failed_step(monkeypatch):
     ident = identity()
     r3r1r3 = mat_mul(ctx, mat_mul(ctx, gens[3], gens[1]), gens[3])
     ctx9, gens9, _ = reduced_generators(params(6, P3))
+    # over F_19, 7 is a cube root of 1: 7 r1 squares to 49 I, and (7 r1) r3
+    # still has order 6
+    ctx19, gens19, _ = reduced_generators(params(6, P19))
+    x19, y19 = torus_words(ctx19, gens19)
+    w19 = mat_mul(ctx19, mat_inv(ctx19, x19), y19)
+    scaled = gens19.copy()
+    scaled[1] = ctx19.mul(7, gens19[1])
     unipotent = []
     for i, j in ((0, 1), (0, 3)):  # I + E01 fixes e4, I + E03 moves it; both of order 3
         u = ident.copy()
@@ -288,6 +298,7 @@ def test_torus_certificate_refuses_each_failed_step(monkeypatch):
         "x w = w x": (ctx, gens, x, x.T),
         "x fixes e4": (ctx, gens, w, mat_mul(ctx, x, w)),  # <w, x w> = <x, w>
         "w moves e4": (ctx, gens, x, mat_pow(ctx, x, 2)),  # w = x^2 in <x>
+        "r1^2 = r3^2 = I": (ctx19, scaled, x19, w19),
         # r3 -> r3 r1 r3 makes r1 r3 -> (r1 r3)^2, of order 3
         "r1 r3 has order 6": (ctx, np.stack([gens[0], gens[1], gens[2], r3r1r3]), x, w),
     }
@@ -296,7 +307,7 @@ def test_torus_certificate_refuses_each_failed_step(monkeypatch):
         facts = torus_facts(bctx, bgens, bx, bw)
         assert [f for f, ok in facts.items() if not ok] == [broken]
         words = (bx, mat_mul(bctx, bx, bw))  # y = x w
-        monkeypatch.setattr(cgroup, "torus_words", lambda ctx, g, words=words: words)
+        monkeypatch.setattr(classify, "torus_words", lambda ctx, g, words=words: words)
         assert not _torus_certifies_g0(bctx, bgens)
 
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starcox
-from starcox import cgroup, cli, matgroup
+from starcox import classify, cli, matgroup
 from starcox.cgroup import IntersectionReport
 from starcox.cli import main
 
@@ -144,20 +144,30 @@ def test_chain_orbit_honors_cap(capsys):
 
 
 @pytest.mark.parametrize(
-    "prime,cap",
-    [("-7-2t", "10000"), ("-7-2t", "3500"), ("3+1t", "1400")],
+    "prime,cap,want",
+    [("-7-2t", "10000", 4), ("-7-2t", "3500", 4), ("3+1t", "1400", 0)],
     ids=["q59-g0-listed", "q59-before-g2-orbit", "q11-g2-listed"],
 )
-def test_g0_order_honors_cap(capsys, prime, cap):
+def test_g0_order_honors_cap(capsys, prime, cap, want):
     # k = 6, G0 a stabilizer chain whose order, 12 s^2, passes the cap while
     # its orbits fit it: 41,772 elements in orbits of at most 354 points at
-    # q = 59, 1,452 in orbits of at most 66 at q = 11. The torus certificate
-    # stops the run before G0, or any subgroup, is built, with the closure's
-    # message: at q = 59 at both caps, and at q = 11 although the smaller
-    # side of G0 & G2, which would be listed, is G2 (1,320 elements)
-    rc, _, err = run(capsys, "verify", "--k", "6", "--prime", prime, "--cap", cap)
-    assert rc == 4
-    assert f"closure exceeds cap {cap}" in err
+    # q = 59, 1,452 in orbits of at most 66 at q = 11. At q = 59 G0 is the
+    # side of G0 & G2 that would be listed, and the torus certificate stops
+    # the run before G0, or any subgroup, is built, with the closure's
+    # message, at both caps. At q = 11 the listed side is G2 (1,320
+    # elements), which fits the cap, so the run answers, as polytope does
+    rc, out, err = run(capsys, "verify", "--k", "6", "--prime", prime, "--cap", cap,
+                       "--format", "json")
+    assert rc == want
+    if want:
+        assert f"closure exceeds cap {cap}" in err
+    else:
+        report = json.loads(out)
+        assert (report["orders"]["G0"], report["orders"]["G2"]) == (1452, 1320)
+        assert report["cgroup"] is True
+        for ring in ("0", "2"):
+            argv = ("polytope", "--k", "6", "--prime", prime, "--ring", ring, "--cap", cap)
+            assert run(capsys, *argv)[0] == 0
 
 
 def verify_exit(capsys, k, prime, cap):
@@ -166,11 +176,12 @@ def verify_exit(capsys, k, prime, cap):
 
 @pytest.mark.parametrize("prime", ["-4-1t", "-7-2t", "13", "8+37t", "1000+1t", "32005+1t"])
 def test_torus_certificate_moves_no_exit_code(capsys, monkeypatch, prime):
-    # k = 6 at q = 19, 59, 169, 1009, 1,000,999 and 1,024,352,029, at caps
-    # about 6s and s^2 (s the characteristic), and about 12 s^2 where a run
-    # stays small: verify exits 4 exactly below |G0| = 12 s^2. There the
-    # torus certificate stops the run before any subgroup is built, and with
-    # the certificate refused the build exits 4 all the same
+    # k = 6 at q = 19, 59, 169, 1009, 1,000,999 and 1,024,352,029, where G0
+    # is the listed side of G0 & G2, at caps about 6s and s^2 (s the
+    # characteristic), and about 12 s^2 where a run stays small: verify
+    # exits 4 exactly below |G0| = 12 s^2. There the torus certificate
+    # stops the run before any subgroup is built, and with the certificate
+    # refused the build exits 4 all the same
     s = starcox.classify_prime(starcox.parse_golden(prime)).char
     caps = {c + d for c in (6 * s, s * s, 12 * s * s) for d in (-1, 0)} | {1000, 50_000}
     for cap in sorted(c for c in caps if c <= 50_000 or s < 2_000):
@@ -178,7 +189,7 @@ def test_torus_certificate_moves_no_exit_code(capsys, monkeypatch, prime):
         assert verify_exit(capsys, 6, prime, cap) == want
         if 12 * s * s > cap:
             with monkeypatch.context() as mp:
-                mp.setattr(cgroup, "_torus_certifies_g0", lambda ctx, gens: False)
+                mp.setattr(classify, "_torus_certifies_g0", lambda ctx, gens: False)
                 assert verify_exit(capsys, 6, prime, cap) == want
 
 
@@ -196,14 +207,16 @@ def test_torus_certificate_stops_before_any_orbit(capsys, monkeypatch, prime, ca
     # points is far past it, and q = 1009 at caps s^2 - 1, 12 s^2 - 1 and
     # the default, where G0's orbits (6,054 and 2,018 points) fit it, so that
     # only its order passes it: the certificate |G0| >= 12 s^2 exits 4
-    # before any orbit is built
+    # before any orbit is built, in verify and in polytope at both ringings,
+    # where G0 is the vertex or Q-cell stabilizer
     def no_orbit(*args):
         raise AssertionError("an orbit was built")
 
     monkeypatch.setattr(matgroup, "_build_orbit", no_orbit)
-    rc, _, err = run(capsys, "verify", "--k", "6", "--prime", prime, "--cap", str(cap))
-    assert rc == 4
-    assert f"closure exceeds cap {cap}" in err
+    for cmd in (["verify"], ["polytope", "--ring", "0"], ["polytope", "--ring", "2"]):
+        rc, _, err = run(capsys, *cmd, "--k", "6", "--prime", prime, "--cap", str(cap))
+        assert rc == 4
+        assert f"closure exceeds cap {cap}" in err
 
 
 @pytest.mark.parametrize("cap", [23, 119])

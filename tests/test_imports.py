@@ -2,8 +2,8 @@
 the package's ``__all__`` lists exactly what it imports, README's library
 session runs and prints what it documents, every definition in
 the library is referenced somewhere, the library never calls ``np.unique``
-or ``np.insert``, and a chain level's action on its base point is applied
-in one function."""
+or ``np.insert``, a chain level's action on its base point is applied in
+one function, and only ``matgroup`` and ``classify`` raise OverCapError."""
 
 from __future__ import annotations
 
@@ -205,3 +205,27 @@ def test_prime_classes_are_read_only_as_labels():
     assert stray == []
     field = ast.parse((ROOT / "src" / "starcox" / "field.py").read_text(encoding="utf-8"))
     assert "PrimeClass" not in referenced_names(field)
+
+
+def over_cap_raise_lines(tree: ast.Module) -> list[int]:
+    """Lines of the raise statements that raise OverCapError, called or bare,
+    by name or as a module attribute."""
+    def raised(exc: ast.expr | None) -> str | None:
+        exc = exc.func if isinstance(exc, ast.Call) else exc
+        return exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+
+    return [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Raise) and raised(n.exc) == "OverCapError"]
+
+
+def test_cap_refusals_live_in_matgroup_and_classify():
+    # a cap is refused by the engine that meets it (matgroup) or by the one
+    # rule that refuses a subgroup before it is built (classify), never by a
+    # command's own module
+    probe = ("raise OverCapError('x')\nraise matgroup.OverCapError\nraise ValueError('x')\n"
+             "raise\nraise OverCapError\n")
+    assert over_cap_raise_lines(ast.parse(probe)) == [1, 2, 5]
+    library = sorted((ROOT / "src" / "starcox").rglob("*.py"))
+    raising = {p.name for p in library
+               if over_cap_raise_lines(ast.parse(p.read_text(encoding="utf-8")))}
+    assert raising == {"matgroup.py", "classify.py"}

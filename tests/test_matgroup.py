@@ -815,7 +815,7 @@ def test_root_span_base_keeps_orders(q, monkeypatch):
         oracle = bsgs_group(ctx, gens[kept(omit)])
         assert group.order == oracle.order
         params = StarParams(k, classify_prime(GoldenInt(*PRIMES[q])))
-        if subgroup_backend(params, omit, matgroup.DEFAULT_CAP)[0]:
+        if subgroup_backend(params, omit, matgroup.DEFAULT_CAP, gens)[0]:
             assert max(len(lvl.keys) for lvl in group._chain) <= max(
                 len(lvl.keys) for lvl in oracle._chain)
         words = gens[rng.integers(0, 4, size=(40, 6))]
