@@ -1,6 +1,11 @@
 """Exact Z[tau] generator, Gram, and Cartan matrices of the rank-4 star
 Coxeter groups [5,3;k], their determinant identities, and reductions mod
-primes of Z[tau]."""
+primes of Z[tau].
+
+An exact matrix is a numpy object array of GoldenInt (``golden_matrix``),
+so numpy's ``@``, ``.T``, scaling and indexing act on it exactly; ``det``
+takes its determinant and ``reduce_matrix`` reduces it, or a stack of
+them, into F_q as int64, the only form the kernels of ``matgroup`` take."""
 
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ import numpy as np
 
 from .field import FieldCtx, build_field
 from .matgroup import element_order, mat_mul
-from .ring import ONE, TAU, GoldenInt, GoldenPrime
+from .ring import ONE, TAU, ZERO, GoldenInt, GoldenPrime
 
 K_INF = math.inf
 _TAU2 = TAU * TAU
@@ -27,101 +32,64 @@ def rho(k) -> GoldenInt:
     return RHO[k]
 
 
-@dataclass(frozen=True)
-class GoldenMat:
-    """Square matrix with exact Z[tau] entries."""
-
-    rows: tuple[tuple[GoldenInt, ...], ...]
-
-    @staticmethod
-    def build(rows) -> GoldenMat:
-        conv = tuple(
-            tuple(v if isinstance(v, GoldenInt) else GoldenInt(v, 0) for v in row) for row in rows
-        )
-        return GoldenMat(conv)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, ij: tuple[int, int]) -> GoldenInt:
-        return self.rows[ij[0]][ij[1]]
-
-    def __matmul__(self, other: GoldenMat) -> GoldenMat:
-        n = self.n
-        return GoldenMat(
-            tuple(
-                tuple(
-                    sum((self.rows[i][l] * other.rows[l][j] for l in range(n)), GoldenInt(0, 0))
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-        )
-
-    def scaled(self, s: GoldenInt | int) -> GoldenMat:
-        return GoldenMat(tuple(tuple(v * s for v in row) for row in self.rows))
-
-    def transpose(self) -> GoldenMat:
-        return GoldenMat(tuple(zip(*self.rows)))
-
-    def minor(self, drop: int) -> GoldenMat:
-        keep = [i for i in range(self.n) if i != drop]
-        return GoldenMat(tuple(tuple(self.rows[i][j] for j in keep) for i in keep))
-
-    def det(self) -> GoldenInt:
-        """Exact determinant by cofactor expansion along the first row."""
-        if self.n == 1:
-            return self.rows[0][0]
-        total = GoldenInt(0, 0)
-        for j, v in enumerate(self.rows[0]):
-            if not v:
-                continue
-            sub = GoldenMat(tuple(r[:j] + r[j + 1 :] for r in self.rows[1:]))
-            term = v * sub.det()
-            total = total + (term if j % 2 == 0 else -term)
-        return total
-
-    def is_identity(self) -> bool:
-        return all(
-            self.rows[i][j] == (ONE if i == j else GoldenInt(0, 0))
-            for i in range(self.n)
-            for j in range(self.n)
-        )
-
-    def reduce(self, ctx: FieldCtx) -> np.ndarray:
-        return np.array([[ctx.reduce(v) for v in row] for row in self.rows], dtype=np.int64)
+_golden = np.vectorize(lambda v: GoldenInt(v, 0) if isinstance(v, int) else v, otypes=[object])
 
 
-def generator_matrices(k) -> tuple[GoldenMat, GoldenMat, GoldenMat, GoldenMat]:
-    """The four reflections of [5,3;k] acting on column coordinate vectors."""
+def golden_matrix(rows) -> np.ndarray:
+    """An exact matrix, or a stack of them, as a numpy object array of
+    GoldenInt: an int entry n is taken as GoldenInt(n, 0)."""
+    return _golden(np.array(rows, dtype=object))
+
+
+def det(m: np.ndarray) -> GoldenInt:
+    """Exact determinant of an n x n object array, n >= 2, by cofactor
+    expansion along the first row. The minors are nested lists, which
+    Python slices faster than numpy indexes an object array."""
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return sum(
+        ((-v if j % 2 else v) * det([[*r[:j], *r[j + 1 :]] for r in m[1:]])
+         for j, v in enumerate(m[0]) if v),
+        ZERO,
+    )
+
+
+def reduce_matrix(ctx: FieldCtx, m: np.ndarray) -> np.ndarray:
+    """An exact matrix, or a stack of them, reduced entrywise into F_q: int64."""
+    return np.vectorize(ctx.reduce, otypes=[np.int64])(m)
+
+
+def generator_matrices(k) -> np.ndarray:
+    """The four reflections of [5,3;k] acting on column coordinate vectors,
+    as one 4 x 4 x 4 stack."""
     p = rho(k)
-    r0 = GoldenMat.build([[-1, _TAU2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    r1 = GoldenMat.build([[1, 0, 0, 0], [1, -1, 1, p], [0, 0, 1, 0], [0, 0, 0, 1]])
-    r2 = GoldenMat.build([[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, -1, 0], [0, 0, 0, 1]])
-    r3 = GoldenMat.build([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, -1]])
-    return r0, r1, r2, r3
-
-
-def gram(k, scale: int = 1) -> GoldenMat:
-    """Gram matrix of the rescaled root basis, scaled entrywise by mu."""
-    p = rho(k)
-    t2 = _TAU2
-    g = GoldenMat.build(
+    return golden_matrix(
         [
-            [GoldenInt(4, 0), t2 * -2, GoldenInt(0, 0), GoldenInt(0, 0)],
-            [t2 * -2, t2 * 4, t2 * -2, t2 * p * -2],
-            [GoldenInt(0, 0), t2 * -2, t2 * 4, GoldenInt(0, 0)],
-            [GoldenInt(0, 0), t2 * p * -2, GoldenInt(0, 0), t2 * p * 4],
+            [[-1, _TAU2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [[1, 0, 0, 0], [1, -1, 1, p], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, -1, 0], [0, 0, 0, 1]],
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, -1]],
         ]
     )
-    return g.scaled(scale)
 
 
-def cartan(k) -> GoldenMat:
+def gram(k, scale: int = 1) -> np.ndarray:
+    """Gram matrix of the rescaled root basis, scaled entrywise by mu."""
+    p = rho(k)
+    return scale * golden_matrix(
+        [
+            [4, _TAU2 * -2, 0, 0],
+            [_TAU2 * -2, _TAU2 * 4, _TAU2 * -2, _TAU2 * p * -2],
+            [0, _TAU2 * -2, _TAU2 * 4, 0],
+            [0, _TAU2 * p * -2, 0, _TAU2 * p * 4],
+        ]
+    )
+
+
+def cartan(k) -> np.ndarray:
     """Cartan matrix 2*(vj.vi)/(vi.vi); independent of the form scale."""
     p = rho(k)
-    return GoldenMat.build(
+    return golden_matrix(
         [
             [2, -_TAU2, 0, 0],
             [-1, 2, -1, -p],
@@ -146,7 +114,7 @@ def det_identities(k) -> DetReport:
     one_minus = ONE - _TAU2 * p
     eg = GoldenInt(64, 0) * TAU**4 * p * one_minus
     ec = GoldenInt(4, 0) * GoldenInt(2, -1) * one_minus  # tau^-2 = 2 - tau
-    rep = DetReport(gram(k).det(), cartan(k).det(), eg, ec)
+    rep = DetReport(det(gram(k)), det(cartan(k)), eg, ec)
     if rep.det_gram != eg or rep.det_cartan != ec:
         raise AssertionError(f"determinant identity fails for k={k}: {rep}")
     return rep
@@ -172,18 +140,15 @@ class StarParams:
     def _reduction(self) -> tuple[FieldCtx, np.ndarray, SmoothnessReport]:
         """Built on first use and kept on the instance; see reduced_generators."""
         ctx = build_field(self.prime)
-        gens = np.stack([m.reduce(ctx) for m in generator_matrices(self.k)])
+        gens = reduce_matrix(ctx, generator_matrices(self.k))
         gens.setflags(write=False)
-        expected: dict[tuple[int, int], int | None] = dict(COXETER_EXPONENTS)
-        expected[(1, 3)] = self.k if self.k != K_INF else None
-        orders = {}
-        bad = []
-        for (i, j), want in sorted(expected.items()):
-            m = element_order(ctx, mat_mul(ctx, gens[i], gens[j]), cap=1000)
-            orders[(i, j)] = m
-            if want is not None and m != want:
-                bad.append((i, j))
-        return ctx, gens, SmoothnessReport(orders, tuple(bad))
+        expected = {**COXETER_EXPONENTS, (1, 3): None if self.k == K_INF else self.k}
+        orders = {
+            (i, j): element_order(ctx, mat_mul(ctx, gens[i], gens[j]), cap=1000)
+            for i, j in sorted(expected)
+        }
+        bad = tuple(ij for ij, m in orders.items() if expected[ij] not in (None, m))
+        return ctx, gens, SmoothnessReport(orders, bad)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import K_INF, StarParams, gram, reduced_generators, rho, torus_words
+from .builder import (
+    K_INF,
+    StarParams,
+    det,
+    golden_matrix,
+    gram,
+    reduce_matrix,
+    reduced_generators,
+    rho,
+    torus_words,
+)
 from .field import FieldCtx
 from .matgroup import GroupHandle, OverCapError, identity, is_identity, mat_inv, mat_mul, mat_pow
 from .ring import GoldenInt, GoldenPrime, PrimeClass, golden_legendre, rational_legendre
@@ -72,7 +82,7 @@ def orthogonal_order(n: int, q: int, eps: int, full: bool) -> int:
 
 def epsilon(k, p: GoldenPrime, mu: int = 1) -> int:
     """Square class of the Gram determinant: golden_legendre(det g_mu, p)."""
-    return golden_legendre(gram(k, mu).det(), p)
+    return golden_legendre(det(gram(k, mu)), p)
 
 
 def delta(k, p: GoldenPrime, mu: int = 1) -> int:
@@ -149,8 +159,7 @@ def classify_rank3(i: int, params: StarParams) -> Classification:
         return Classification("coxeter", "H3", 120, 0, 0)
     if k == 6 and p.char == 3:
         return Classification("exceptional", "C3^4:D10", 1620, 0, 0)
-    minor_det = gram(k, mu).minor(2).det()
-    if golden_legendre(minor_det, p) == 0:
+    if golden_legendre(det(gram(k, mu)[np.ix_([0, 1, 3], [0, 1, 3])]), p) == 0:
         raise SingularFormError(f"singular 3x3 form for k={k}, p={p.value}")
     sigma = golden_legendre(GoldenInt(mu, 0), p)
     dlt = delta(k, p, mu)
@@ -305,8 +314,7 @@ def torus_power_check(p: GoldenPrime) -> TorusCheck:
     checks = sorted({*range(1, min(s, 8) + 1), s})
     for tt in checks:
         for m, form in ((mat_pow(ctx, x, tt), _x_power(tt)), (mat_pow(ctx, w, tt), _w_power(tt))):
-            want = [[ctx.reduce(GoldenInt(v, 0)) for v in row] for row in form]
-            if not (m == want).all():
+            if not np.array_equal(m, reduce_matrix(ctx, golden_matrix(form))):
                 raise AssertionError(f"torus closed form fails at power {tt}, p={p.value}")
     return TorusCheck(s, s, s, len(checks))
 

@@ -343,7 +343,8 @@ class GroupHandle:
         of one point: the products of the lower levels are formed once,
         while they fit in BATCH, and the upper levels are indexed by mixed
         radix, BATCH // len(tail) at a time, so a listed element costs about
-        one product. A chain lists only the elements x = head tail with
+        one product; where every level fits in the tail, the one head is the
+        identity. A chain lists only the elements x = head tail with
         x fixed = fixed, fixed a 4 x d matrix: each is tested as
         head (tail fixed), d matrix-vector products, and only those that
         pass are multiplied out; at d = 0 every element passes. An
@@ -361,9 +362,7 @@ class GroupHandle:
         while levels and len(tail) * len(levels[-1]) <= BATCH:
             tail = mat_mul(ctx, levels.pop()[:, None], tail[None]).reshape(-1, 4, 4)
         tail_fixed = mat_mul(ctx, tail, fixed)
-        if not levels:
-            yield tail[(tail_fixed == fixed).all(axis=(1, 2))]
-            return
+        levels = levels or [identity()[None]]
         radix = [len(t) for t in levels]
         step, heads = BATCH // len(tail), math.prod(radix)
         for start in range(0, heads, step):

@@ -11,9 +11,10 @@ import numpy as np
 from starcox.builder import (
     K_INF,
     StarParams,
+    cartan,
+    det,
     det_identities,
     gram,
-    cartan,
     reduced_generators,
 )
 from starcox.cgroup import lemma41_check, verify_cgroup
@@ -112,8 +113,8 @@ def test_criterion_06_determinant_identities_and_singularity():
         det_identities(k)
     for p in [q for q in primes_up_to_norm(60) if q.klass is not PrimeClass.EVEN]:
         for k in (3, 4, 5, 6):
-            gram_singular = golden_legendre(gram(k).det(), p) == 0
-            cartan_singular = golden_legendre(cartan(k).det(), p) == 0
+            gram_singular = golden_legendre(det(gram(k)), p) == 0
+            cartan_singular = golden_legendre(det(cartan(k)), p) == 0
             assert gram_singular is (
                 (k == 5 and p.klass is PrimeClass.CLASS_I) or (k == 6 and p.char == 3)
             )

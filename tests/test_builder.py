@@ -9,13 +9,15 @@ from starcox import builder, classify, cli, matgroup
 from starcox.builder import (
     COXETER_EXPONENTS,
     K_INF,
-    GoldenMat,
     StarParams,
     cartan,
+    det,
     det_identities,
     generator_matrices,
+    golden_matrix,
     gram,
     kept,
+    reduce_matrix,
     reduced_generators,
     rho,
 )
@@ -34,8 +36,7 @@ def prime_of(a, b):
     return classify_prime(GoldenInt(a, b))
 
 
-def golden_identity(n=4):
-    return GoldenMat.build([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+IDENTITY = golden_matrix([[int(i == j) for j in range(4)] for i in range(4)])
 
 
 def test_rho_values():
@@ -49,7 +50,7 @@ def test_rho_values():
 @pytest.mark.parametrize("k", ALL_K)
 def test_generators_are_exact_involutions(k):
     for r in generator_matrices(k):
-        assert (r @ r).is_identity()
+        assert np.array_equal(r @ r, IDENTITY)
 
 
 @pytest.mark.parametrize("k", ALL_K)
@@ -57,7 +58,7 @@ def test_generators_are_exact_involutions(k):
 def test_generators_preserve_form_exactly(k, scale):
     g = gram(k, scale)
     for r in generator_matrices(k):
-        assert (r.transpose() @ g @ r).rows == g.rows
+        assert np.array_equal(r.T @ g @ r, g)
 
 
 @pytest.mark.parametrize("k", (3, 4, 5, 6))
@@ -67,19 +68,19 @@ def test_exact_coxeter_relations(k):
     exponents[(1, 3)] = k
     for (i, j), m in exponents.items():
         prod = r[i] @ r[j]
-        pw = golden_identity()
+        pw = IDENTITY
         for _ in range(m):
             pw = pw @ prod
-        assert pw.is_identity(), (i, j, m)
+        assert np.array_equal(pw, IDENTITY), (i, j, m)
 
 
 def test_infinite_mark_has_no_finite_braid_order():
     r = generator_matrices(K_INF)
     prod = r[1] @ r[3]
-    pw = golden_identity()
+    pw = IDENTITY
     for _ in range(12):
         pw = pw @ prod
-        assert not pw.is_identity()
+        assert not np.array_equal(pw, IDENTITY)
 
 
 @pytest.mark.parametrize("k", ALL_K)
@@ -106,6 +107,17 @@ def test_root_norms_diagonal(k, scale):
     assert tuple(g[i, i] for i in range(4)) == want
 
 
+@pytest.mark.parametrize("k", (3, 4, 5, 6))
+@pytest.mark.parametrize("prime", [(2, 0), (-1, 2), (3, 0), (3, 1), (4, 1), (-7, 0)])
+def test_exact_and_reduced_determinants_agree(k, prime):
+    # two independent determinant codes: the exact cofactor expansion over
+    # Z[tau], reduced, against the F_q Laplace expansion of the reduction,
+    # at q = 4, 5, 9, 11, 19 and 49
+    ctx = build_field(prime_of(*prime))
+    for m in (*generator_matrices(k), gram(k, 1), gram(k, 2), cartan(k)):
+        assert ctx.reduce(det(m)) == matgroup._det(ctx, reduce_matrix(ctx, m)[None])[0]
+
+
 def test_gram_singularity_pattern():
     # the form degenerates mod p exactly for k=5 over the ramified prime and
     # for k=6 over 3; the Cartan matrix stays invertible except at k=5
@@ -113,11 +125,11 @@ def test_gram_singularity_pattern():
         if p.klass is PrimeClass.EVEN:
             continue
         for k in (3, 4, 5, 6):
-            gsing = golden_legendre(gram(k).det(), p) == 0
-            csing = golden_legendre(cartan(k).det(), p) == 0
+            gsing = golden_legendre(det(gram(k)), p) == 0
+            csing = golden_legendre(det(cartan(k)), p) == 0
             expect = (k == 5 and p.klass is PrimeClass.CLASS_I) or (k == 6 and p.char == 3)
-            assert gsing == expect, (k, p.element)
-            assert csing == (k == 5 and p.klass is PrimeClass.CLASS_I), (k, p.element)
+            assert gsing == expect, (k, p.value)
+            assert csing == (k == 5 and p.klass is PrimeClass.CLASS_I), (k, p.value)
 
 
 def test_params_validation():
@@ -174,11 +186,16 @@ def test_reduction_is_built_once_per_params(monkeypatch):
     assert builds(lambda: (face_counts(params, 2), incidence_report(params, 2))) == 1
     assert builds(lambda: classify_rank4(StarParams(k=4, prime=sqrt5))) == 0
 
-    _, gens, _ = reduced_generators(params)
+    ctx, gens, _ = reduced_generators(params)
     assert reduced_generators(params)[1] is gens
     assert not gens.flags.writeable
     with pytest.raises(ValueError):
         gens[0, 0, 0] = 0
+    # no object array crosses into the F_q kernels: an exact matrix, or a
+    # stack of them, reduces to int64
+    assert gens.dtype == np.int64
+    assert reduce_matrix(ctx, gram(6)).dtype == np.int64
+    assert reduce_matrix(ctx, generator_matrices(6)).dtype == np.int64
 
 
 def test_classification_builds_no_matrix(monkeypatch):
@@ -210,8 +227,8 @@ def test_reduction_is_matrix_homomorphism():
         words = [mats[i] @ mats[j] @ mats[l] for i, j, l in rng.integers(0, 4, size=(6, 3))]
         for a in words:
             for b in words:
-                lhs = (a @ b).reduce(ctx)
-                rhs = mat_mul(ctx, a.reduce(ctx), b.reduce(ctx))
+                lhs = reduce_matrix(ctx, a @ b)
+                rhs = mat_mul(ctx, reduce_matrix(ctx, a), reduce_matrix(ctx, b))
                 assert np.array_equal(lhs, rhs)
 
 
