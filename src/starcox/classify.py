@@ -5,6 +5,7 @@ prime's residues, and the closed-form torus power identities."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -80,9 +81,17 @@ def orthogonal_order(n: int, q: int, eps: int, full: bool) -> int:
     return 2 * base if full else base
 
 
+@cache
+def _gram_dets(k, mu: int) -> tuple[GoldenInt, GoldenInt]:
+    """det g_mu and its rank-3 minor on the roots v0, v1, v3, taken once
+    per (k, mu) on first use."""
+    g = gram(k, mu)
+    return det(g), det(g[np.ix_([0, 1, 3], [0, 1, 3])])
+
+
 def epsilon(k, p: GoldenPrime, mu: int = 1) -> int:
     """Square class of the Gram determinant: golden_legendre(det g_mu, p)."""
-    return golden_legendre(det(gram(k, mu)), p)
+    return golden_legendre(_gram_dets(k, mu)[0], p)
 
 
 def delta(k, p: GoldenPrime, mu: int = 1) -> int:
@@ -159,7 +168,7 @@ def classify_rank3(i: int, params: StarParams) -> Classification:
         return Classification("coxeter", "H3", 120, 0, 0)
     if k == 6 and p.char == 3:
         return Classification("exceptional", "C3^4:D10", 1620, 0, 0)
-    if golden_legendre(det(gram(k, mu)[np.ix_([0, 1, 3], [0, 1, 3])]), p) == 0:
+    if golden_legendre(_gram_dets(k, mu)[1], p) == 0:
         raise SingularFormError(f"singular 3x3 form for k={k}, p={p.value}")
     sigma = golden_legendre(GoldenInt(mu, 0), p)
     dlt = delta(k, p, mu)

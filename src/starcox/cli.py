@@ -11,7 +11,7 @@ from contextlib import nullcontext
 
 from .builder import K_INF, StarParams, reduced_generators
 from .cgroup import CHECK_NAMES, verify_cgroup
-from .classify import OrderMismatchError, classify_rank4, table3_lookup
+from .classify import Classification, OrderMismatchError, classify_rank4, table3_lookup
 from .field import Q_LIMIT
 from .matgroup import DEFAULT_CAP, OverCapError, bsgs_group, enumerate_group
 from .polytope import polytope_report
@@ -113,11 +113,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _path_disagreement(params: StarParams, c: Classification) -> str | None:
+    """Where the congruence table covers params (scale 1, an odd prime), a
+    line naming its answer and c, the Legendre path's, when they differ;
+    None otherwise."""
+    if params.scale != 1 or params.prime.klass is PrimeClass.EVEN:
+        return None
+    t = table3_lookup(params)
+    if (t.family, t.label, t.predicted_order) == (c.family, c.label, c.predicted_order):
+        return None
+    return (f"the Legendre path gives {c.display}, order {c.predicted_order}; "
+            f"the congruence table gives {t.display}, order {t.predicted_order}")
+
+
 def cmd_classify(args) -> int:
     k = _parse_k(args.k)
     p = _prime(args.prime)
     params = StarParams(k, p, args.scale)
     c = classify_rank4(params)
+    why = _path_disagreement(params, c)
+    if why:
+        print(f"error: {why}", file=sys.stderr)
+        return EXIT_VERIFY
     smooth = reduced_generators(params)[2].smooth
     if args.format == "json":
         print(json.dumps({
@@ -180,6 +197,10 @@ def cmd_polytope(args) -> int:
     k = _parse_k(args.k)
     p = _prime(args.prime)
     params, cap = StarParams(k, p), _cap(args)
+    why = _path_disagreement(params, classify_rank4(params))
+    if why:
+        print(f"error: {why}", file=sys.stderr)
+        return EXIT_VERIFY
     stats, inc = polytope_report(params, args.ring, cap=cap)
     if args.format == "json":
         print(json.dumps({**stats.to_json(), **inc.to_json()}))
@@ -193,10 +214,7 @@ def _survey_row(k: int, p, cap: int) -> tuple[dict, dict[str, int]]:
     """One survey row and its fail counts, each 0 or 1."""
     params = StarParams(k, p)
     c = classify_rank4(params)
-    disagree = False
-    if p.klass is not PrimeClass.EVEN:
-        t = table3_lookup(params)
-        disagree = (t.family, t.label, t.predicted_order) != (c.family, c.label, c.predicted_order)
+    disagree = _path_disagreement(params, c) is not None
     ctx, gens, rep = reduced_generators(params)
     verified: int | str
     if c.predicted_order <= cap:

@@ -56,8 +56,9 @@ An intersection lists the side of smaller order, from either backend, BATCH
 elements at a time (slices of an enumerated group's keys, or products of a
 chain's transversals), and keeps those the other side contains; a listed
 chain yields only the elements that fix the vectors the other side's
-generators all fix, and listing a chain is bounded by the cap it was built
-with. ``mat_pow`` takes powers by square-and-multiply.
+generators all fix, found by a meet-in-the-middle join of its heads and
+tails on their images of those vectors, and listing a chain is bounded by
+the cap it was built with. ``mat_pow`` takes powers by square-and-multiply.
 """
 
 from __future__ import annotations
@@ -342,14 +343,20 @@ class GroupHandle:
         products t_0[i_0] t_1[i_1] ... of its transversals, skipping levels
         of one point: the products of the lower levels are formed once,
         while they fit in BATCH, and the upper levels are indexed by mixed
-        radix, BATCH // len(tail) at a time, so a listed element costs about
-        one product; where every level fits in the tail, the one head is the
-        identity. A chain lists only the elements x = head tail with
-        x fixed = fixed, fixed a 4 x d matrix: each is tested as
-        head (tail fixed), d matrix-vector products, and only those that
-        pass are multiplied out; at d = 0 every element passes. An
-        enumerated group ignores fixed. Listing a group whose order exceeds
-        its cap raises OverCapError before any product."""
+        radix, BATCH // len(tail) at a time; where every level fits in the
+        tail, the one head is the identity. A chain lists only the elements
+        x = head tail with x fixed = fixed, fixed a 4 x d matrix, by a
+        meet-in-the-middle join, as in Shanks' baby-step giant-step: x fixes
+        fixed exactly when tail fixed = head^-1 fixed. The keys of tail
+        fixed are sorted once. A head's key is head^-1 fixed, head^-1 being
+        the product of its levels' t_inv in reverse order, and its
+        searchsorted range of equal tail keys, which can repeat, gives its
+        pairs. Only matched pairs are multiplied out, so a listing costs
+        about len(tail) + heads products plus one per element listed, not
+        one per pair. At d = 0 fixed is taken as the zero vector, which
+        every pair matches. An enumerated group ignores fixed. Listing a
+        group whose order exceeds its cap raises OverCapError before any
+        product."""
         if self.order > self.cap:
             raise OverCapError(f"closure exceeds cap {self.cap}")
         ctx = self.ctx
@@ -357,22 +364,33 @@ class GroupHandle:
             for i in range(0, self.order, BATCH):
                 yield _decode(ctx, self._sorted_keys[i : i + BATCH])
             return
-        levels = [lvl.t for lvl in self._chain if len(lvl.t) > 1]
+        levels = [(lvl.t, lvl.t_inv) for lvl in self._chain if len(lvl.t) > 1]
         tail = identity()[None]
-        while levels and len(tail) * len(levels[-1]) <= BATCH:
-            tail = mat_mul(ctx, levels.pop()[:, None], tail[None]).reshape(-1, 4, 4)
-        tail_fixed = mat_mul(ctx, tail, fixed)
-        levels = levels or [identity()[None]]
-        radix = [len(t) for t in levels]
+        while levels and len(tail) * len(levels[-1][0]) <= BATCH:
+            tail = mat_mul(ctx, levels.pop()[0][:, None], tail[None]).reshape(-1, 4, 4)
+        if not fixed.shape[1]:
+            fixed = np.zeros((4, 1), dtype=np.int64)
+        tail_keys = _keys(ctx, mat_mul(ctx, tail, fixed), fixed.size)
+        by_key = tail_keys.argsort(kind="stable")
+        tail_keys = tail_keys[by_key]
+        levels = levels or [(identity()[None],) * 2]
+        radix = [len(t) for t, _ in levels]
         step, heads = BATCH // len(tail), math.prod(radix)
         for start in range(0, heads, step):
             digits = np.unravel_index(np.arange(start, min(start + step, heads)), radix)
-            head = levels[0][digits[0]]
-            for t, d in zip(levels[1:], digits[1:]):
-                head = mat_mul(ctx, head, t[d])
-            keep = (mat_mul(ctx, head[:, None], tail_fixed[None]) == fixed).all(axis=(2, 3))
-            h, t = np.nonzero(keep)
-            yield mat_mul(ctx, head[h], tail[t])
+            moved = fixed
+            for (_, t_inv), d in zip(levels, digits):
+                moved = mat_mul(ctx, t_inv[d], moved)
+            keys = _keys(ctx, moved, fixed.size)
+            lo = np.searchsorted(tail_keys, keys)
+            runs = np.searchsorted(tail_keys, keys, side="right") - lo
+            h = np.repeat(np.arange(len(keys)), runs)
+            # the pairs of head i take tail positions lo[i], ..., lo[i] + runs[i] - 1
+            t = by_key[np.arange(len(h)) + np.repeat(lo - np.cumsum(runs) + runs, runs)]
+            x = levels[0][0][digits[0][h]]  # t_0[i_0] of each matched head
+            for (t_lvl, _), d in zip(levels[1:], digits[1:]):
+                x = mat_mul(ctx, x, t_lvl[d[h]])
+            yield mat_mul(ctx, x, tail[t])
 
     def contains_batch(self, mats: np.ndarray) -> np.ndarray:
         """Vectorized membership for a stack of matrices. On a chain a matrix
@@ -397,9 +415,10 @@ class GroupHandle:
         side fixes the vectors its generators all fix, so a listed chain
         yields only the elements that fix that space, every element when it
         is zero (Holt, Eick and O'Brien, *Handbook of Computational Group
-        Theory*, ch. 4, prune by a property the other group keeps). An
-        enumerated listed side is decoded whole: listing it forms no
-        product."""
+        Theory*, 2005, ch. 4, prune by a property the other group keeps),
+        found by joining its heads and tails on their images of the space
+        rather than by testing every pair. An enumerated listed side is
+        decoded whole: listing it forms no product."""
         ctx = self.ctx
         small, big = (other, self) if other.order < self.order else (self, other)
         fixed = None

@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
+import collections
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from starcox import classify
 from starcox.builder import K_INF, StarParams, reduced_generators
 from starcox.classify import (
     classify_rank3,
@@ -15,7 +23,8 @@ from starcox.classify import (
     torus_power_check,
 )
 from starcox.matgroup import enumerate_group
-from starcox.ring import GoldenInt, PrimeClass, classify_prime, primes_up_to_norm
+from starcox.polytope import face_counts, incidence_report
+from starcox.ring import GoldenInt, PrimeClass, classify_prime, parse_golden, primes_up_to_norm
 
 SQRT5 = classify_prime(GoldenInt(-1, 2))
 P2 = classify_prime(GoldenInt(2, 0))
@@ -197,3 +206,33 @@ def test_torus_power_check_guards():
         torus_power_check(P2)
     with pytest.raises(ValueError):
         torus_power_check(P3)
+
+
+def test_gram_determinants_are_taken_once_per_mark_and_scale(monkeypatch):
+    # over the benchmark's polytope pool, whose 24 tasks classify at 4 marks
+    # and scale 1, the exact Gram matrix is built at most once per (k, mu);
+    # and importing the library takes none
+    root = Path(__file__).resolve().parent.parent
+    pool = json.loads((root / "bench" / "expected.json").read_text())["pools"]["polytope"]
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import starcox.cli, starcox.classify as c; "
+         "print(c._gram_dets.cache_info().currsize)"],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, check=True,
+    )
+    assert fresh.stdout == "0\n"
+    calls = collections.Counter()
+    real = classify.gram
+
+    def counted(k, mu=1):
+        calls[k, mu] += 1
+        return real(k, mu)
+
+    monkeypatch.setattr(classify, "gram", counted)
+    classify._gram_dets.cache_clear()
+    for task in pool:
+        p = params(task["k"], classify_prime(parse_golden(task["prime"])))
+        face_counts(p, task["ring"])
+        incidence_report(p, task["ring"])
+    assert len(pool) == 24
+    assert calls and max(calls.values()) == 1

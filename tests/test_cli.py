@@ -582,6 +582,30 @@ def test_order_mismatch_exits_1(capsys, monkeypatch):
     assert err == "error: G0 has order 1452, not the predicted 1453\n"
 
 
+def test_path_disagreement_exits_1(capsys, monkeypatch):
+    # classify and polytope ask the congruence table at scale 1 and an odd
+    # prime; a table that disagrees with the Legendre path makes one error
+    # line naming both answers, exit 1, and no output
+    real = cli.table3_lookup
+
+    def wrong(params):
+        c = real(params)
+        return dataclasses.replace(c, label="O(4,5,1)", predicted_order=c.predicted_order + 1)
+
+    monkeypatch.setattr(cli, "table3_lookup", wrong)
+    want = ("error: the Legendre path gives O(4,5,-1), order 31200; "
+            "the congruence table gives O(4,5,1), order 31201\n")
+    for argv in (("classify", "--k", "6", "--prime", "-1+2t"),
+                 ("polytope", "--k", "6", "--prime", "-1+2t", "--ring", "0")):
+        assert run(capsys, *argv) == (1, "", want)
+    # the table does not cover scale 2 or the even prime
+    for argv in (("classify", "--k", "6", "--prime", "-1+2t", "--scale", "2"),
+                 ("classify", "--k", "6", "--prime", "2"),
+                 ("polytope", "--k", "6", "--prime", "2", "--ring", "0")):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, "") and out
+
+
 @pytest.mark.parametrize(
     "k,prime,cap,code,err",
     [

@@ -1614,6 +1614,111 @@ def test_intersect_matches_bfs_oracle(k, q):
     assert np.array_equal(chains["0"].intersect(full)._sorted_keys, bfs["0"]._sorted_keys)
 
 
+def scan_batches(group, fixed):
+    """The listing as a head x tail scan, kept as a reference for the join
+    of ``GroupHandle._batches``: every head is tested against every tail,
+    head (tail fixed) = fixed, and the pairs that pass are multiplied out."""
+    if group.order > group.cap:
+        raise OverCapError(f"closure exceeds cap {group.cap}")
+    ctx = group.ctx
+    if group._sorted_keys is not None:
+        for i in range(0, group.order, matgroup.BATCH):
+            yield _decode(ctx, group._sorted_keys[i : i + matgroup.BATCH])
+        return
+    levels = [lvl.t for lvl in group._chain if len(lvl.t) > 1]
+    tail = identity()[None]
+    while levels and len(tail) * len(levels[-1]) <= matgroup.BATCH:
+        tail = mat_mul(ctx, levels.pop()[:, None], tail[None]).reshape(-1, 4, 4)
+    tail_fixed = mat_mul(ctx, tail, fixed)
+    levels = levels or [identity()[None]]
+    radix = [len(t) for t in levels]
+    step, heads = matgroup.BATCH // len(tail), math.prod(radix)
+    for start in range(0, heads, step):
+        digits = np.unravel_index(np.arange(start, min(start + step, heads)), radix)
+        head = levels[0][digits[0]]
+        for t, d in zip(levels[1:], digits[1:]):
+            head = mat_mul(ctx, head, t[d])
+        keep = (mat_mul(ctx, head[:, None], tail_fixed[None]) == fixed).all(axis=(2, 3))
+        h, t = np.nonzero(keep)
+        yield mat_mul(ctx, head[h], tail[t])
+
+
+def listed_by_intersect(a, b):
+    """The side that a.intersect(b) lists, and the space it must fix."""
+    small, big = (b, a) if b.order < a.order else (a, b)
+    fixed = None
+    if small._chain is not None:
+        fixed = _kernel(small.ctx, small.ctx.sub(big.gens, identity()).reshape(-1, 4), 4).T
+    return small, fixed
+
+
+def assert_join_matches_scan(a, b, monkeypatch):
+    # with BATCH at 8 and 64 a q = 59 head spans two chain levels, and each
+    # batch the join yields stays within BATCH
+    small, fixed = listed_by_intersect(a, b)
+    for batch in (8, 64):
+        monkeypatch.setattr(matgroup, "BATCH", batch)
+        joined = list(small._batches(fixed))
+        assert all(len(m) <= batch for m in joined)
+        want = np.sort(np.concatenate([_keys(a.ctx, m) for m in scan_batches(small, fixed)]))
+        assert np.array_equal(np.sort(np.concatenate([_keys(a.ctx, m) for m in joined])), want)
+    monkeypatch.undo()
+
+
+@pytest.mark.parametrize("q", (5, 9, 11, 19, 29, 59))
+@pytest.mark.parametrize("k", (3, 4, 5, 6))
+def test_listing_join_matches_scan(k, q, monkeypatch):
+    # every check's pair, each side a chain or a closure, lists the same
+    # elements by the join as by the scan
+    ctx, gens = gens_of(k, *PRIMES[q])
+    omits = {o for pair in _CHECKS for o in pair}
+    bfs = {o: enumerate_group(ctx, gens[kept(o)]) for o in omits}
+    chains = {o: bsgs_group(ctx, gens[kept(o)]) for o in omits}
+    for i, j in _CHECKS:
+        for a, b in itertools.product((bfs[i], chains[i]), (bfs[j], chains[j])):
+            assert_join_matches_scan(a, b, monkeypatch)
+
+
+@pytest.mark.parametrize("q", (5, 11, 59))
+def test_listing_join_at_full_and_repeated_keys(q, monkeypatch):
+    # d = 0: G0 against the full group, which at odd q fixes no vector, so
+    # every pair matches. d = 3: <r1> against itself, whose one level's two
+    # points, I and r1, both fix the plane r1 fixes: a repeated tail key
+    ctx, gens = gens_of(6, *PRIMES[q])
+    full, g0 = bsgs_group(ctx, gens), bsgs_group(ctx, gens[kept("0")])
+    assert listed_by_intersect(g0, full)[1].shape == (4, 0)
+    assert_join_matches_scan(g0, full, monkeypatch)
+    r1 = bsgs_group(ctx, gens[kept("023")])
+    small, fixed = listed_by_intersect(r1, r1)
+    assert fixed.shape == (4, 3)
+    (lvl,) = [lvl for lvl in small._chain if len(lvl.t) > 1]
+    tail_keys = _keys(ctx, mat_mul(ctx, lvl.t, fixed), fixed.size)
+    assert len(tail_keys) == 2 and tail_keys[0] == tail_keys[1]
+    assert_join_matches_scan(r1, r1, monkeypatch)
+    assert r1.intersect(r1).order == 2
+
+
+def test_listing_join_counts_its_products(monkeypatch):
+    # G0 at k = 6, q = 59 has orbits of 354 and 118 points, and 12 of its
+    # 41,772 elements fix the vector G2 fixes. The join keys 118 tails and
+    # 354 heads and multiplies out the 12; a head x tail scan makes one
+    # matrix-vector product per pair. Products are counted per matrix of
+    # each broadcast batch, so the count is exact
+    ctx, gens = gens_of(6, *PRIMES[59])
+    g0, g2 = bsgs_group(ctx, gens[kept("0")]), bsgs_group(ctx, gens[kept("2")])
+    small, fixed = listed_by_intersect(g0, g2)
+    assert small is g0 and [len(lvl.t) for lvl in g0._chain] == [354, 118]
+    products = []
+
+    def counted(c, a, b):
+        products.append(math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])))
+        return mat_mul(c, a, b)
+
+    monkeypatch.setattr(matgroup, "mat_mul", counted)
+    assert sum(len(m) for m in g0._batches(fixed)) == 12
+    assert sum(products) <= 1_000
+
+
 def test_chain_listing_honors_cap(monkeypatch):
     # G0 at k = 6, 3+t: its orbits of 121, 6 and 2 points fit a cap of 200,
     # but its 1,452 elements do not, so listing it raises before any product
