@@ -56,9 +56,11 @@ An intersection lists the side of smaller order, from either backend, BATCH
 elements at a time (slices of an enumerated group's keys, or products of a
 chain's transversals), and keeps those the other side contains; a listed
 chain yields only the elements that fix the vectors the other side's
-generators all fix, found by a meet-in-the-middle join of its heads and
-tails on their images of those vectors, and listing a chain is bounded by
-the cap it was built with. ``mat_pow`` takes powers by square-and-multiply.
+generators all fix, found by a meet-in-the-middle join of its heads (the
+products of its upper levels) and its tails (the lowest level's stored
+transversal, which costs no product) on their images of those vectors, and
+listing a chain is bounded by the cap it was built with. ``mat_pow`` takes
+powers by square-and-multiply.
 """
 
 from __future__ import annotations
@@ -341,22 +343,23 @@ class GroupHandle:
         """Every element once, as int64 matrices, at most BATCH at a time. An
         enumerated group decodes slices of its keys. A chain lists the
         products t_0[i_0] t_1[i_1] ... of its transversals, skipping levels
-        of one point: the products of the lower levels are formed once,
-        while they fit in BATCH, and the upper levels are indexed by mixed
-        radix, BATCH // len(tail) at a time; where every level fits in the
-        tail, the one head is the identity. A chain lists only the elements
+        of one point. The tail is the lowest level's stored transversal, so
+        no product is formed for it, whatever BATCH is; the heads are the
+        products of the upper levels, indexed by mixed radix,
+        max(1, BATCH // len(tail)) at a time, and the identity alone where
+        the chain has one level. A chain lists only the elements
         x = head tail with x fixed = fixed, fixed a 4 x d matrix, by a
         meet-in-the-middle join, as in Shanks' baby-step giant-step: x fixes
         fixed exactly when tail fixed = head^-1 fixed. The keys of tail
         fixed are sorted once. A head's key is head^-1 fixed, head^-1 being
         the product of its levels' t_inv in reverse order, and its
         searchsorted range of equal tail keys, which can repeat, gives its
-        pairs. Only matched pairs are multiplied out, so a listing costs
-        about len(tail) + heads products plus one per element listed, not
-        one per pair. At d = 0 fixed is taken as the zero vector, which
-        every pair matches. An enumerated group ignores fixed. Listing a
-        group whose order exceeds its cap raises OverCapError before any
-        product."""
+        pairs. Only matched pairs are multiplied out, at most BATCH at a
+        time, so a listing costs one key product per tail and per head and
+        head level, plus one per element listed and head level, not one per
+        pair. At d = 0 fixed is taken as the zero vector, which every pair
+        matches. An enumerated group ignores fixed. Listing a group whose
+        order exceeds its cap raises OverCapError before any product."""
         if self.order > self.cap:
             raise OverCapError(f"closure exceeds cap {self.cap}")
         ctx = self.ctx
@@ -365,9 +368,7 @@ class GroupHandle:
                 yield _decode(ctx, self._sorted_keys[i : i + BATCH])
             return
         levels = [(lvl.t, lvl.t_inv) for lvl in self._chain if len(lvl.t) > 1]
-        tail = identity()[None]
-        while levels and len(tail) * len(levels[-1][0]) <= BATCH:
-            tail = mat_mul(ctx, levels.pop()[0][:, None], tail[None]).reshape(-1, 4, 4)
+        tail = levels.pop()[0] if levels else identity()[None]
         if not fixed.shape[1]:
             fixed = np.zeros((4, 1), dtype=np.int64)
         tail_keys = _keys(ctx, mat_mul(ctx, tail, fixed), fixed.size)
@@ -375,7 +376,7 @@ class GroupHandle:
         tail_keys = tail_keys[by_key]
         levels = levels or [(identity()[None],) * 2]
         radix = [len(t) for t, _ in levels]
-        step, heads = BATCH // len(tail), math.prod(radix)
+        step, heads = max(1, BATCH // len(tail)), math.prod(radix)
         for start in range(0, heads, step):
             digits = np.unravel_index(np.arange(start, min(start + step, heads)), radix)
             moved = fixed
@@ -387,10 +388,11 @@ class GroupHandle:
             h = np.repeat(np.arange(len(keys)), runs)
             # the pairs of head i take tail positions lo[i], ..., lo[i] + runs[i] - 1
             t = by_key[np.arange(len(h)) + np.repeat(lo - np.cumsum(runs) + runs, runs)]
-            x = levels[0][0][digits[0][h]]  # t_0[i_0] of each matched head
-            for (t_lvl, _), d in zip(levels[1:], digits[1:]):
-                x = mat_mul(ctx, x, t_lvl[d[h]])
-            yield mat_mul(ctx, x, tail[t])
+            for i in range(0, len(h), BATCH):
+                x = tail[t[i : i + BATCH]]  # head tail, formed from the right
+                for (t_lvl, _), d in zip(levels[::-1], digits[::-1]):
+                    x = mat_mul(ctx, t_lvl[d[h[i : i + BATCH]]], x)
+                yield x
 
     def contains_batch(self, mats: np.ndarray) -> np.ndarray:
         """Vectorized membership for a stack of matrices. On a chain a matrix

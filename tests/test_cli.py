@@ -170,6 +170,19 @@ def test_g0_order_honors_cap(capsys, prime, cap, want):
             assert run(capsys, *argv)[0] == 0
 
 
+def test_verify_k6_past_q456_answers_at_a_large_cap(capsys):
+    # q = 1009, past every deck's reach: G0 (orbits 6,054 and 2,018) is the
+    # listed side of G0 & G2, and the join lists it against its lower level
+    rc, out, _ = run(capsys, "verify", "--k", "6", "--prime", "8+37t", "--cap", "1000000000000",
+                     "--format", "json")
+    assert rc == 0
+    assert out == (
+        '{"k": 6, "prime": "8+37t", "class": "ClassIII", "q": 1009, "rank3": [true, true, true], '
+        '"rank4": [true, true, true], "orders": {"G0": 12216972, "G1": 8, "G2": 1027242720, '
+        '"G3": 120, "G02": 12, "G03": 6, "G23": 10}, "cgroup": true}\n'
+    )
+
+
 def verify_exit(capsys, k, prime, cap):
     return run(capsys, "verify", "--k", str(k), "--prime", prime, "--cap", str(cap))[0]
 

@@ -1559,9 +1559,11 @@ def fixing_count(ctx, small, big):
 @pytest.mark.parametrize("q,listed", ((11, "2"), (19, "0")))
 def test_intersect_streams_the_smaller_side(q, listed, batch, monkeypatch):
     # k = 6: at q = 11, |G0| = 1,452 > |G2| = 1,320, so G2 is the listed
-    # side; at q = 19, G0 is. A BATCH of 8 leaves two chain levels to index
-    # by mixed radix, 64 one. A listed chain hands over only the elements
-    # that fix the vectors the other side fixes; an enumerated side all
+    # side; at q = 19, G0 is. Whatever BATCH is, a listed chain's tail is its
+    # lowest level (10 or 38 points) and its heads are the levels above it;
+    # a BATCH of 8 or 64 only cuts the heads into more chunks. A listed
+    # chain hands over only the elements that fix the vectors the other
+    # side fixes; an enumerated side all
     ctx, gens = gens_of(6, *PRIMES[q])
     bfs = {o: enumerate_group(ctx, gens[kept(o)]) for o in "02"}
     chains = {o: bsgs_group(ctx, gens[kept(o)]) for o in "02"}
@@ -1617,7 +1619,10 @@ def test_intersect_matches_bfs_oracle(k, q):
 def scan_batches(group, fixed):
     """The listing as a head x tail scan, kept as a reference for the join
     of ``GroupHandle._batches``: every head is tested against every tail,
-    head (tail fixed) = fixed, and the pairs that pass are multiplied out."""
+    head (tail fixed) = fixed, and the pairs that pass are multiplied out.
+    It keeps the old split, whose tail is the product of the lower levels
+    while it fits in BATCH, so the join is checked against a listing whose
+    heads and tails are drawn differently."""
     if group.order > group.cap:
         raise OverCapError(f"closure exceeds cap {group.cap}")
     ctx = group.ctx
@@ -1677,6 +1682,12 @@ def test_listing_join_matches_scan(k, q, monkeypatch):
     for i, j in _CHECKS:
         for a, b in itertools.product((bfs[i], chains[i]), (bfs[j], chains[j])):
             assert_join_matches_scan(a, b, monkeypatch)
+    if (k, q) == (6, 11):
+        # G2, the side G0 & G2 lists, has orbits of 12, 11 and 10 points: the
+        # join's tail is the lowest level and its heads span the other two
+        small, _ = listed_by_intersect(chains["0"], chains["2"])
+        assert small is chains["2"]
+        assert [len(lvl.t) for lvl in small._chain if len(lvl.t) > 1] == [12, 11, 10]
 
 
 @pytest.mark.parametrize("q", (5, 11, 59))
@@ -1717,6 +1728,31 @@ def test_listing_join_counts_its_products(monkeypatch):
     monkeypatch.setattr(matgroup, "mat_mul", counted)
     assert sum(len(m) for m in g0._batches(fixed)) == 12
     assert sum(products) <= 1_000
+
+
+def test_listing_work_does_not_depend_on_batch(monkeypatch):
+    # G0 at k = 6, q = 59 against G2: the tail is G0's lower level of 118
+    # points whatever BATCH is, so listing it forms the same products at a
+    # BATCH of 8, 64 and 8,192; only the chunks they come in differ
+    ctx, gens = gens_of(6, *PRIMES[59])
+    g0, g2 = bsgs_group(ctx, gens[kept("0")]), bsgs_group(ctx, gens[kept("2")])
+    small, fixed = listed_by_intersect(g0, g2)
+    assert small is g0
+    counts = []
+    for batch in (8, 64, 8192):
+        monkeypatch.setattr(matgroup, "BATCH", batch)
+        products = []
+
+        def counted(c, a, b):
+            products.append(math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])))
+            return mat_mul(c, a, b)
+
+        monkeypatch.setattr(matgroup, "mat_mul", counted)
+        batches = list(g0._batches(fixed))
+        assert sum(len(m) for m in batches) == 12
+        assert all(len(m) <= batch for m in batches)
+        counts.append(sum(products))
+    assert counts[0] == counts[1] == counts[2] <= 1_000
 
 
 def test_chain_listing_honors_cap(monkeypatch):
